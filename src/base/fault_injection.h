@@ -43,11 +43,6 @@ struct FaultPlan {
   uint64_t memory_at_charge = 0;
   /// Drop this cache insert (OmqCache::PutErased call) on the floor.
   uint64_t fail_insert_at = 0;
-  /// Drop this admission-queue batch (AdmissionQueue dispatch, 1-based):
-  /// every request riding the batch is completed with kCancelled instead
-  /// of executing; the queue must stay serviceable and all tenant/governor
-  /// accounting must be returned (tests/server_test.cc).
-  uint64_t drop_batch_at = 0;
   /// Stall the ThreadPool worker with this index (-1 = none) for
   /// `stall_millis` at the start of each task it picks up.
   int stall_worker = -1;
@@ -58,10 +53,8 @@ class SplitMix64;
 
 /// Draws a randomized plan for chaos sweeps from `rng`: at most one
 /// governor-level fault (deadline trip, cancellation, or memory-charge
-/// failure) plus an independent chance of a dropped cache insert. Batch
-/// drops and worker stalls are left to dedicated tests — they change
-/// *which* requests run, not just their outcomes, which would make
-/// differential soak verdicts depend on the plan. The drawn plan records
+/// failure) plus an independent chance of a dropped cache insert. Worker
+/// stalls are left to dedicated tests. The drawn plan records
 /// the rng state it was derived from in `seed` so a failing sweep
 /// iteration reproduces from its log line.
 FaultPlan RandomFaultPlan(SplitMix64& rng);
@@ -114,18 +107,6 @@ class FaultInjector {
     return false;
   }
 
-  /// Consulted by the server's AdmissionQueue at each batch dispatch.
-  /// Returns true when this batch must be dropped (its requests are
-  /// completed with kCancelled; nothing executes).
-  bool OnBatchDispatch() {
-    uint64_t n = batches_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (plan_.drop_batch_at != 0 && n == plan_.drop_batch_at) {
-      MarkFired();
-      return true;
-    }
-    return false;
-  }
-
   /// Consulted by ThreadPool workers at task start (via the global task
   /// hook installed by the test). Sleeps when this worker is the stall
   /// target. Implemented out of line to keep <thread> out of this header.
@@ -143,7 +124,6 @@ class FaultInjector {
 
   FaultPlan plan_;
   std::atomic<uint64_t> inserts_{0};
-  std::atomic<uint64_t> batches_{0};
   std::atomic<bool> fired_{false};
 };
 

@@ -48,8 +48,9 @@ class ThreadPool {
   /// the workers.
   ~ThreadPool();
 
-  /// Enqueues a task. Tasks must not Submit to or Wait on their own pool.
-  /// No-op after Stop().
+  /// Enqueues a task. A task may Submit to its own pool (its own slot
+  /// keeps Wait() from returning before the new task is counted) but
+  /// must not Wait on it. No-op after Stop().
   void Submit(std::function<void()> task);
 
   /// Blocks until every task submitted so far has finished or been

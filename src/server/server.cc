@@ -33,18 +33,18 @@ struct OmqServer::PendingRequest {
   Schema schema;
   TenantLease lease;
   std::shared_ptr<Connection> conn;
-  uint64_t admission_wait_us = 0;
+  Clock::time_point submitted;  ///< handed to the pool
 };
 
 namespace {
 
-/// Leader/follower rendezvous for one admission batch: followers park
-/// until the leader has executed (and warmed the shared cache).
-struct BatchState {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool leader_done = false;
-};
+WireResponse ErrorResponse(uint64_t request_id, const Status& status) {
+  WireResponse response;
+  response.request_id = request_id;
+  response.code = status.code();
+  response.message = status.message();
+  return response;
+}
 
 }  // namespace
 
@@ -81,19 +81,13 @@ OmqServer::~OmqServer() { Shutdown(); }
 
 void OmqServer::Start() {
   // call_once, not an atomic exchange: concurrent first connections must
-  // all block until the pipeline exists, or the loser's session thread
-  // would race a half-constructed admission queue.
+  // all block until the pool exists, or the loser's session thread would
+  // submit to a half-constructed pool.
   std::call_once(start_once_, [this] {
     size_t threads = config_.worker_threads != 0
                          ? config_.worker_threads
                          : ThreadPool::DefaultConcurrency();
     pool_ = std::make_unique<ThreadPool>(threads);
-    admission_ = std::make_unique<AdmissionQueue>(
-        config_.admission,
-        [this](std::vector<AdmissionQueue::Ticket>&& batch,
-               uint64_t batch_id, bool dropped) {
-          RunBatch(std::move(batch), batch_id, dropped);
-        });
   });
 }
 
@@ -172,11 +166,8 @@ void OmqServer::SessionLoop(std::shared_ptr<Connection> conn) {
         std::lock_guard<std::mutex> lock(counters_mu_);
         ++counters_.malformed_frames;
       }
-      WireResponse response;
-      response.request_id = 0;  // the id may not have decoded
-      response.code = request.status().code();
-      response.message = request.status().message();
-      SendResponse(conn, std::move(response));
+      // The id may not have decoded: answer as request 0.
+      SendResponse(conn, ErrorResponse(0, request.status()));
       continue;  // framing is intact; later frames may be fine
     }
     HandleRequest(conn, std::move(*request));
@@ -234,11 +225,10 @@ void OmqServer::HandleRequest(const std::shared_ptr<Connection>& conn,
   // without consuming a pool slot or tenant accounting.
   auto program = ParseProgram(request.program);
   if (!program.ok()) {
-    WireResponse response;
-    response.request_id = request.request_id;
-    response.code = StatusCode::kInvalidArgument;
-    response.message = StrCat("program: ", program.status().message());
-    SendResponse(conn, std::move(response));
+    SendResponse(conn, ErrorResponse(
+                           request.request_id,
+                           Status::InvalidArgument(StrCat(
+                               "program: ", program.status().message()))));
     return;
   }
 
@@ -249,89 +239,44 @@ void OmqServer::HandleRequest(const std::shared_ptr<Connection>& conn,
   pending->request = std::move(request);
 
   // Over the tenant's concurrency quota the request parks in the
-  // registry; a later completion re-dispatches it via SettleLease.
+  // registry; a later completion dispatches it.
   auto admission =
       tenants_.AdmitOrQueue(pending->request.tenant, pending);
   if (admission.queued) return;
-  pending->lease = std::move(admission.lease);
-
-  // A tenant whose governor is tripped (e.g. blew its memory quota) fails
-  // fast until its in-flight requests drain and the governor is replaced.
-  Status trip = pending->lease.governor->TripStatus();
-  if (!trip.ok()) {
-    FailPending(pending, trip.code(),
-                StrCat("tenant governor tripped: ", trip.message()),
-                /*batch_id=*/0, /*batch_size=*/0);
-    return;
-  }
-
-  BatchKey key;
-  key.ontology = FingerprintTgdSet(pending->program.tgds);
-  key.kind = static_cast<uint8_t>(pending->request.type);
-  if (!admission_->Submit(key, pending)) {
-    FailPending(pending, StatusCode::kCancelled, "server shutting down",
-                /*batch_id=*/0, /*batch_size=*/0);
-  }
+  Dispatch({TenantRegistry::Resumed{std::move(admission.lease), pending}});
 }
 
-void OmqServer::RunBatch(std::vector<AdmissionQueue::Ticket>&& batch,
-                         uint64_t batch_id, bool dropped) {
-  uint32_t batch_size = static_cast<uint32_t>(batch.size());
-  if (dropped) {
-    // Fault-injected drop: every rider is answered and every lease
-    // settled right here on the dispatcher thread — the queue stays
-    // serviceable and no governor charge leaks (tests/server_test.cc).
-    for (AdmissionQueue::Ticket& ticket : batch) {
-      auto pending =
-          std::static_pointer_cast<PendingRequest>(ticket.payload);
-      pending->admission_wait_us = ticket.wait_us;
-      FailPending(pending, StatusCode::kCancelled,
-                  "admission batch dropped (injected)", batch_id,
-                  batch_size);
-    }
-    return;
-  }
-  if (batch.size() == 1) {
+void OmqServer::Dispatch(std::vector<TenantRegistry::Resumed> admitted) {
+  while (!admitted.empty()) {
     auto pending =
-        std::static_pointer_cast<PendingRequest>(batch.front().payload);
-    pending->admission_wait_us = batch.front().wait_us;
-    pool_->Submit([this, pending, batch_id, batch_size] {
-      Execute(pending, batch_id, batch_size);
-    });
-    return;
-  }
-  // Leader first, then followers. The pool is FIFO, so the leader is
-  // always dequeued before any follower: a parked follower's leader is
-  // running or done, never queued behind it — deadlock-free at any pool
-  // size, including 1.
-  auto state = std::make_shared<BatchState>();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    auto pending =
-        std::static_pointer_cast<PendingRequest>(batch[i].payload);
-    pending->admission_wait_us = batch[i].wait_us;
-    if (i == 0) {
-      pool_->Submit([this, pending, state, batch_id, batch_size] {
-        Execute(pending, batch_id, batch_size);
-        {
-          std::lock_guard<std::mutex> lock(state->mu);
-          state->leader_done = true;
-        }
-        state->cv.notify_all();
-      });
+        std::static_pointer_cast<PendingRequest>(admitted.back().payload);
+    pending->lease = std::move(admitted.back().lease);
+    admitted.pop_back();
+    // A tenant whose governor is tripped (e.g. blew its memory quota)
+    // fails fast until its in-flight requests drain and the governor is
+    // replaced. Once Shutdown() has begun nothing new reaches the pool:
+    // its final Wait() must not race a late submission.
+    Status refusal = pending->lease.governor->TripStatus();
+    if (!refusal.ok()) {
+      refusal = Status(refusal.code(), StrCat("tenant governor tripped: ",
+                                              refusal.message()));
+    } else if (stopping_.load(std::memory_order_acquire)) {
+      refusal = Status::Cancelled("server shutting down");
     } else {
-      pool_->Submit([this, pending, state, batch_id, batch_size] {
-        {
-          std::unique_lock<std::mutex> lock(state->mu);
-          state->cv.wait(lock, [&] { return state->leader_done; });
-        }
-        Execute(pending, batch_id, batch_size);
-      });
+      pending->submitted = Clock::now();
+      pool_->Submit([this, pending] { Execute(pending); });
+      continue;
+    }
+    SendResponse(pending->conn,
+                 ErrorResponse(pending->request.request_id, refusal));
+    for (auto& next : tenants_.Complete(pending->lease, /*residual_bytes=*/0,
+                                        refusal.code(), EngineStats())) {
+      admitted.push_back(std::move(next));
     }
   }
 }
 
-void OmqServer::Execute(const std::shared_ptr<PendingRequest>& pending,
-                        uint64_t batch_id, uint32_t batch_size) {
+void OmqServer::Execute(const std::shared_ptr<PendingRequest>& pending) {
   const WireRequest& request = pending->request;
 
   ResourceGovernor req_gov(pending->lease.governor.get());
@@ -348,9 +293,10 @@ void OmqServer::Execute(const std::shared_ptr<PendingRequest>& pending,
 
   WireResponse response;
   response.request_id = request.request_id;
-  response.batch_id = batch_id;
-  response.batch_size = batch_size;
-  response.admission_wait_us = pending->admission_wait_us;
+  response.admission_wait_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          Clock::now() - pending->submitted)
+          .count());
 
   EngineStats stats;
   switch (request.type) {
@@ -426,64 +372,8 @@ void OmqServer::Execute(const std::shared_ptr<PendingRequest>& pending,
 
   StatusCode code = response.code;
   SendResponse(pending->conn, std::move(response));
-  SettleLease(pending, req_gov.local_charged_bytes(), code, stats,
-              batch_size > 1);
-}
-
-void OmqServer::FailPending(const std::shared_ptr<PendingRequest>& pending,
-                            StatusCode code, const std::string& message,
-                            uint64_t batch_id, uint32_t batch_size) {
-  WireResponse response;
-  response.request_id = pending->request.request_id;
-  response.code = code;
-  response.message = message;
-  response.batch_id = batch_id;
-  response.batch_size = batch_size;
-  response.admission_wait_us = pending->admission_wait_us;
-  SendResponse(pending->conn, std::move(response));
-  SettleLease(pending, /*residual_bytes=*/0, code, EngineStats(),
-              batch_size > 1);
-}
-
-void OmqServer::SettleLease(const std::shared_ptr<PendingRequest>& pending,
-                            size_t residual_bytes, StatusCode code,
-                            const EngineStats& stats, bool batched) {
-  std::vector<TenantRegistry::Resumed> work =
-      tenants_.Complete(pending->lease, residual_bytes, code, stats,
-                        batched);
-  // Dispatch everything the completion released. A resumed request that
-  // cannot run (tripped governor, admission refused) is answered right
-  // here and its own settlement may release more work — hence the
-  // worklist, so an arbitrarily long failing cascade stays iterative.
-  while (!work.empty()) {
-    TenantRegistry::Resumed resumed = std::move(work.back());
-    work.pop_back();
-    auto next = std::static_pointer_cast<PendingRequest>(resumed.payload);
-    next->lease = std::move(resumed.lease);
-    Status refusal = next->lease.governor->TripStatus();
-    if (!refusal.ok()) {
-      refusal = Status(refusal.code(),
-                       StrCat("tenant governor tripped: ",
-                              refusal.message()));
-    } else {
-      BatchKey key;
-      key.ontology = FingerprintTgdSet(next->program.tgds);
-      key.kind = static_cast<uint8_t>(next->request.type);
-      if (!admission_->Submit(key, next)) {
-        refusal = Status::Cancelled("server shutting down");
-      }
-    }
-    if (refusal.ok()) continue;
-    WireResponse response;
-    response.request_id = next->request.request_id;
-    response.code = refusal.code();
-    response.message = refusal.message();
-    SendResponse(next->conn, std::move(response));
-    auto more = tenants_.Complete(next->lease, /*residual_bytes=*/0,
-                                  refusal.code(), EngineStats(),
-                                  /*batched=*/false);
-    for (auto& m : more) work.push_back(std::move(m));
-  }
+  Dispatch(tenants_.Complete(pending->lease, req_gov.local_charged_bytes(),
+                             code, stats));
 }
 
 void OmqServer::SendResponse(const std::shared_ptr<Connection>& conn,
@@ -524,13 +414,13 @@ void OmqServer::Shutdown() {
     if (shut_down_) return;
     shut_down_ = true;
   }
+  // From here on Dispatch refuses new work with kCancelled.
   stopping_.store(true, std::memory_order_release);
   // 1. Stop accepting connections.
   if (listen_fd_.valid()) ShutdownSocket(listen_fd_.get());
   if (accept_thread_.joinable()) accept_thread_.join();
-  // 2. Flush the admission queue (new submissions now bounce) and drain
-  //    every execution — all responses are written after this.
-  if (admission_ != nullptr) admission_->Shutdown();
+  // 2. Drain every execution. A completion's resumed requests are
+  //    refused now, so the pool runs dry.
   if (pool_ != nullptr) pool_->Wait();
   // 2b. Requests still parked in tenant concurrency queues can no longer
   //     be dequeued by a completion (the pool is drained): answer them
@@ -539,11 +429,9 @@ void OmqServer::Shutdown() {
   auto drain_queued = [this] {
     for (auto& payload : tenants_.DrainQueued()) {
       auto pending = std::static_pointer_cast<PendingRequest>(payload);
-      WireResponse response;
-      response.request_id = pending->request.request_id;
-      response.code = StatusCode::kCancelled;
-      response.message = "server shutting down";
-      SendResponse(pending->conn, std::move(response));
+      SendResponse(pending->conn,
+                   ErrorResponse(pending->request.request_id,
+                                 Status::Cancelled("server shutting down")));
     }
   };
   drain_queued();
@@ -562,19 +450,14 @@ void OmqServer::Shutdown() {
   for (std::thread& t : sessions) {
     if (t.joinable()) t.join();
   }
+  // 4. A session thread that passed the stopping_ check just before it
+  //    was set may have submitted after step 2: drain again, so no
+  //    request runs after the flush.
+  if (pool_ != nullptr) pool_->Wait();
   drain_queued();
-  // 4. Every response is out; seal what this run compiled into the
+  // 5. Every response is out; seal what this run compiled into the
   //    persistent store (no-op for the memory-only cache).
   if (cache_ != nullptr) cache_->Flush();
-}
-
-void OmqServer::set_fault_injector(FaultInjector* injector) {
-  if (admission_ != nullptr) admission_->set_fault_injector(injector);
-  if (cache_ != nullptr) cache_->set_fault_injector(injector);
-}
-
-AdmissionStats OmqServer::admission_stats() const {
-  return admission_ != nullptr ? admission_->Stats() : AdmissionStats{};
 }
 
 ServerCounters OmqServer::counters() const {
@@ -602,22 +485,6 @@ std::string OmqServer::StatsJson() const {
     w.EndObject();
   }
 
-  AdmissionStats admission =
-      admission_ != nullptr ? admission_->Stats() : AdmissionStats();
-  w.BeginObject("admission");
-  w.Field("submitted", admission.submitted);
-  w.Field("rejected", admission.rejected);
-  w.Field("batches_dispatched", admission.batches_dispatched);
-  w.Field("batches_dropped", admission.batches_dropped);
-  w.Field("dropped_requests", admission.dropped_requests);
-  w.Field("batched_requests", admission.batched_requests);
-  w.Field("max_batch_size", admission.max_batch_size);
-  w.Field("queue_depth_peak", admission.queue_depth_peak);
-  w.Field("current_depth", admission.current_depth);
-  w.Field("wait_us_total", admission.wait_us_total);
-  w.Field("wait_us_max", admission.wait_us_max);
-  w.EndObject();
-
   if (cache_ != nullptr) {
     AppendOmqCacheStatsJson(w, "cache", cache_->Stats());
   }
@@ -634,7 +501,6 @@ std::string OmqServer::StatsJson() const {
     w.Field("deadline_trips", snap.counters.deadline_trips);
     w.Field("cancel_trips", snap.counters.cancel_trips);
     w.Field("memory_trips", snap.counters.memory_trips);
-    w.Field("batched_requests", snap.counters.batched_requests);
     w.Field("cache_hits", snap.counters.cache_hits);
     w.Field("cache_misses", snap.counters.cache_misses);
     w.Field("governor_resets", snap.counters.governor_resets);

@@ -2,20 +2,17 @@
 //
 // Request path (see DESIGN.md "Server pipeline"):
 //
-//   session thread ──► admission queue ──► dispatcher ──► worker pool
-//   (read + parse)     (batch by ontology    (leader /      (execute,
-//                       fingerprint+kind)     followers)     respond)
+//   session thread ──► tenant admit ──► worker pool
+//   (read + parse)     (concurrency      (execute,
+//                       quota)            respond)
 //
 // Each connection gets a session thread that reads frames, answers
 // ping/stats/shutdown inline, parses eval/contain/classify programs, and
-// enqueues an admission ticket. The admission queue (admission.h) groups
-// tickets by BatchKey; the dispatcher submits each batch to the shared
-// ThreadPool as one *leader* task followed by follower tasks that block on
-// the leader. The leader's compilation warms the shared OmqCache, so the
-// followers hit where serial one-shot runs would each compile cold. FIFO
-// pool order makes this deadlock-free at any pool size: a batch's leader
-// is always dequeued before its followers, so a waiting follower's leader
-// is already running or done.
+// admits each request to its tenant (tenant.h). An admitted request goes
+// straight to the shared FIFO ThreadPool; one over its tenant's
+// concurrency quota parks in the registry until a completion releases it.
+// Repeated compilations are shared through the OmqCache, not by holding
+// requests back.
 //
 // Resource governance: every request executes under a fresh governor
 // child of its tenant's governor (tenant.h), itself a child of the
@@ -23,9 +20,9 @@
 // request with the trip code; sibling requests and other tenants are
 // untouched.
 //
-// Responses may leave a connection out of order (batching); clients
-// correlate by request_id. All writes to one connection are serialized by
-// a per-connection mutex.
+// Responses may leave a connection out of order (requests execute
+// concurrently); clients correlate by request_id. All writes to one
+// connection are serialized by a per-connection mutex.
 
 #ifndef OMQC_SERVER_SERVER_H_
 #define OMQC_SERVER_SERVER_H_
@@ -45,7 +42,6 @@
 #include "base/thread_pool.h"
 #include "cache/persist.h"
 #include "chase/chase.h"
-#include "server/admission.h"
 #include "server/tenant.h"
 #include "server/wire.h"
 
@@ -64,7 +60,6 @@ struct ServerConfig {
   /// it on drain; an unopenable directory degrades to memory-only with a
   /// warning on stderr (the server still comes up).
   std::string cache_dir;
-  AdmissionConfig admission;
   /// Deadline for requests that carry none (0 = tenant default, then
   /// unlimited).
   uint64_t default_deadline_ms = 0;
@@ -79,7 +74,7 @@ struct ServerConfig {
   ChaseStrategy chase = ChaseStrategy::kSemiNaive;
 };
 
-/// Server-level tallies (beyond admission/cache/tenant counters).
+/// Server-level tallies (beyond cache/tenant counters).
 struct ServerCounters {
   uint64_t connections = 0;
   uint64_t requests = 0;       ///< frames decoded into requests
@@ -100,8 +95,8 @@ class OmqServer {
   /// Equivalent to Shutdown().
   ~OmqServer();
 
-  /// Starts the execution pipeline (pool + admission queue) without a
-  /// network listener — for in-process connections only.
+  /// Starts the worker pool without a network listener — for in-process
+  /// connections only.
   void Start();
 
   /// Start() plus a TCP listener on `port` (0 = ephemeral). Returns the
@@ -113,8 +108,9 @@ class OmqServer {
   /// or without a listener.
   Result<OwnedFd> ConnectInProcess();
 
-  /// Graceful stop: refuse new work, flush the admission queue, drain the
-  /// pool, unblock and join every session. Idempotent.
+  /// Graceful stop: refuse new work, drain the pool, unblock and join
+  /// every session, drain the pool again, then flush the cache.
+  /// Idempotent.
   void Shutdown();
 
   /// Marks the server as asked to shut down (kShutdown request or a
@@ -125,16 +121,14 @@ class OmqServer {
   /// Blocks until RequestShutdown or the timeout; true when requested.
   bool WaitForShutdownRequest(std::chrono::milliseconds timeout);
 
-  /// The full metrics document served by kStats: server counters,
-  /// admission stats, cache stats, server governor, per-tenant sections.
+  /// The full metrics document served by kStats: server counters, cache
+  /// stats, server governor, per-tenant sections.
   std::string StatsJson() const;
 
   const ServerConfig& config() const { return config_; }
   ArtifactStore* cache() { return cache_.get(); }
   ResourceGovernor* governor() { return &governor_; }
 
-  /// Point-in-time admission-queue tallies ({} before Start()).
-  AdmissionStats admission_stats() const;
   /// Point-in-time per-tenant view (tenant.h TenantSnapshot).
   std::map<std::string, TenantRegistry::TenantSnapshot> TenantSnapshots()
       const {
@@ -142,49 +136,35 @@ class OmqServer {
   }
   ServerCounters counters() const;
 
-  /// Test-only: wires a fault injector into the admission queue (batch
-  /// drops) and the cache (insert drops). Install before traffic.
-  void set_fault_injector(FaultInjector* injector);
-
  private:
   struct Connection;
   struct PendingRequest;
 
   void AcceptLoop();
   void SessionLoop(std::shared_ptr<Connection> conn);
-  /// Handles one decoded request on the session thread; enqueues
+  /// Handles one decoded request on the session thread; submits
   /// eval/contain/classify, answers everything else inline.
   void HandleRequest(const std::shared_ptr<Connection>& conn,
                      WireRequest&& request);
-  /// Admission dispatch callback (dispatcher thread): leader/follower
-  /// submission, or dropped-batch completion.
-  void RunBatch(std::vector<AdmissionQueue::Ticket>&& batch,
-                uint64_t batch_id, bool dropped);
-  /// Executes one request on a pool worker and sends its response.
-  void Execute(const std::shared_ptr<PendingRequest>& pending,
-               uint64_t batch_id, uint32_t batch_size);
+  /// Submits each admitted request (payload: PendingRequest) to the
+  /// pool. A request whose tenant governor is tripped, or that arrives
+  /// once the server is stopping, is answered inline instead and its
+  /// lease settled; whatever that settlement releases from the tenant's
+  /// concurrency queue joins the worklist, so a cascade of refusals stays
+  /// iterative. Runs on session threads and on pool workers.
+  void Dispatch(std::vector<TenantRegistry::Resumed> admitted);
+  /// Executes one request on a pool worker, sends its response and
+  /// settles its lease.
+  void Execute(const std::shared_ptr<PendingRequest>& pending);
   /// Sends `response` on `conn` (any thread; serialized per connection).
   void SendResponse(const std::shared_ptr<Connection>& conn,
                     WireResponse&& response);
-  /// Answers a request that never reaches the pool (dropped batch,
-  /// rejected admission, tripped tenant) and settles its lease.
-  void FailPending(const std::shared_ptr<PendingRequest>& pending,
-                   StatusCode code, const std::string& message,
-                   uint64_t batch_id, uint32_t batch_size);
-  /// Settles a finished request's tenant lease, then dispatches any
-  /// requests its completion released from the tenant's concurrency
-  /// queue (trip-check + admission submit, answering failures inline).
-  /// Iterative — a cascade of failing resumed requests cannot recurse.
-  void SettleLease(const std::shared_ptr<PendingRequest>& pending,
-                   size_t residual_bytes, StatusCode code,
-                   const EngineStats& stats, bool batched);
 
   ServerConfig config_;
   ResourceGovernor governor_;  ///< server-wide root governor
   std::unique_ptr<ArtifactStore> cache_;
   TenantRegistry tenants_;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<AdmissionQueue> admission_;
 
   OwnedFd listen_fd_;
   std::thread accept_thread_;

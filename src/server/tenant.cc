@@ -32,7 +32,7 @@ TenantRegistry::Admission TenantRegistry::AdmitOrQueue(
 
 std::vector<TenantRegistry::Resumed> TenantRegistry::Complete(
     const TenantLease& lease, size_t residual_bytes, StatusCode code,
-    const EngineStats& stats, bool batched) {
+    const EngineStats& stats) {
   // Return the finished request's residual charge before taking the
   // registry lock — ReleaseBytes is lock-free and walks up to the server
   // governor on its own.
@@ -65,7 +65,6 @@ std::vector<TenantRegistry::Resumed> TenantRegistry::Complete(
       ++t.counters.failed;
       break;
   }
-  if (batched) ++t.counters.batched_requests;
   t.counters.cache_hits += stats.cache.hits;
   t.counters.cache_misses += stats.cache.misses;
   // A tripped tenant governor is sticky (fail-fast for this tenant) until

@@ -21,9 +21,9 @@
 // Concurrency quota: with TenantQuota::max_concurrent > 0, a tenant's
 // excess requests are *queued* here (FIFO) instead of tripping anything —
 // AdmitOrQueue parks the opaque payload, and each Complete hands freed
-// capacity back as Resumed entries the server re-dispatches. Queued work
-// is invisible to the admission queue and the pool until then, so one
-// hot tenant cannot monopolize worker slots.
+// capacity back as Resumed entries the server dispatches. Queued work is
+// invisible to the pool until then, so one hot tenant cannot monopolize
+// worker slots.
 
 #ifndef OMQC_SERVER_TENANT_H_
 #define OMQC_SERVER_TENANT_H_
@@ -61,7 +61,6 @@ struct TenantCounters {
   uint64_t deadline_trips = 0;  ///< requests ending kDeadlineExceeded
   uint64_t cancel_trips = 0;    ///< requests ending kCancelled
   uint64_t memory_trips = 0;    ///< requests ending kResourceExhausted
-  uint64_t batched_requests = 0;  ///< rode an admission batch of size > 1
   uint64_t cache_hits = 0;      ///< compilation-cache hits attributed here
   uint64_t cache_misses = 0;    ///< compilation-cache misses attributed here
   uint64_t governor_resets = 0;  ///< tripped tenant governors replaced
@@ -113,13 +112,12 @@ class TenantRegistry {
   /// Completes the request holding `lease`. `residual_bytes` is the
   /// request governor's un-released local charge (returned to the tenant
   /// chain here); `code` is the response status; `stats` the request's
-  /// engine counters; `batched` whether the request rode a batch of
-  /// size > 1. Replaces a tripped tenant governor once the tenant drains,
-  /// then returns any queued requests the freed capacity now admits (the
-  /// caller dispatches them outside this registry's lock).
+  /// engine counters. Replaces a tripped tenant governor once the tenant
+  /// drains, then returns any queued requests the freed capacity now
+  /// admits (the caller dispatches them outside this registry's lock).
   std::vector<Resumed> Complete(const TenantLease& lease,
                                 size_t residual_bytes, StatusCode code,
-                                const EngineStats& stats, bool batched);
+                                const EngineStats& stats);
 
   /// Empties every tenant's concurrency queue (shutdown): the payloads
   /// are returned without leases and tallied as failed/cancelled.

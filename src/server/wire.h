@@ -15,8 +15,8 @@
 //
 // `body` carries the verdict text, byte-identical to what omqc_cli prints
 // for the same request (src/core/frontend.h Format* helpers). Requests on
-// one connection may be answered out of order (admission batching);
-// request_id is the correlation key.
+// one connection may be answered out of order (they execute
+// concurrently); request_id is the correlation key.
 
 #ifndef OMQC_SERVER_WIRE_H_
 #define OMQC_SERVER_WIRE_H_
@@ -75,10 +75,13 @@ struct WireResponse {
   std::string body;
   /// Per-request EngineStats as JSON (empty for ping/stats/shutdown).
   std::string stats_json;
-  /// Admission metadata: which batch carried the request and how long it
-  /// waited in the queue.
+  /// Reserved: always 0. Kept so the response layout (and kWireVersion)
+  /// stays fixed for existing readers.
   uint64_t batch_id = 0;
   uint32_t batch_size = 0;
+  /// Time from the session handing the request to the worker pool until
+  /// a worker started it (the pool queue wait); 0 for requests answered
+  /// without reaching the pool.
   uint64_t admission_wait_us = 0;
 };
 
