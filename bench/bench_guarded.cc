@@ -23,6 +23,7 @@
 
 #include <chrono>
 
+#include "automata/downward.h"
 #include "automata/emptiness.h"
 #include "base/governor.h"
 #include "core/guarded_automata.h"
@@ -95,19 +96,26 @@ Twapa Chain(int k) {
   return a;
 }
 
+/// One emptiness engine: the antichain engine (DownwardEmptiness) or the
+/// reference subset construction (Reference), which reports no stats.
+using EmptinessFn = Result<bool> (*)(const Twapa&, const DownwardOptions&,
+                                     EmptinessStats*);
+
+Result<bool> Reference(const Twapa& automaton, const DownwardOptions& options,
+                       EmptinessStats*) {
+  return DownwardIsEmpty(automaton, options);
+}
+
 void RunEmptiness(benchmark::State& state, const Twapa& automaton,
-                  EmptinessEngine engine, bool expected_empty,
-                  size_t num_threads = 1, ResourceGovernor* governor = nullptr) {
+                  EmptinessFn engine, bool expected_empty,
+                  ResourceGovernor* governor = nullptr) {
   EmptinessStats stats;
   for (auto _ : state) {
     EmptinessStats iteration_stats;
-    EmptinessOptions options;
-    options.engine = engine;
-    options.num_threads = num_threads;
+    DownwardOptions options;
     options.governor = governor;
-    options.stats = &iteration_stats;
     options.max_states = 1u << 20;
-    auto result = DownwardEmptiness(automaton, options);
+    auto result = engine(automaton, options, &iteration_stats);
     if (!result.ok() || *result != expected_empty) {
       state.SkipWithError("wrong or failed emptiness verdict");
       return;
@@ -121,24 +129,15 @@ void RunEmptiness(benchmark::State& state, const Twapa& automaton,
 
 void BM_GammaEmptiness_Reference(benchmark::State& state) {
   Twapa automaton = GammaWitness(state.range(0) != 0);
-  RunEmptiness(state, automaton, EmptinessEngine::kReference,
-               state.range(0) == 0);
+  RunEmptiness(state, automaton, &Reference, state.range(0) == 0);
 }
 BENCHMARK(BM_GammaEmptiness_Reference)->Arg(0)->Arg(1);
 
 void BM_GammaEmptiness_Antichain(benchmark::State& state) {
   Twapa automaton = GammaWitness(state.range(0) != 0);
-  RunEmptiness(state, automaton, EmptinessEngine::kAntichain,
-               state.range(0) == 0);
+  RunEmptiness(state, automaton, &DownwardEmptiness, state.range(0) == 0);
 }
 BENCHMARK(BM_GammaEmptiness_Antichain)->Arg(0)->Arg(1);
-
-void BM_GammaEmptiness_AntichainParallel(benchmark::State& state) {
-  Twapa automaton = GammaWitness(state.range(0) != 0);
-  RunEmptiness(state, automaton, EmptinessEngine::kAntichain,
-               state.range(0) == 0, /*num_threads=*/4);
-}
-BENCHMARK(BM_GammaEmptiness_AntichainParallel)->Arg(0)->Arg(1);
 
 void BM_GammaEmptiness_AntichainGoverned(benchmark::State& state) {
   Twapa automaton = GammaWitness(state.range(0) != 0);
@@ -146,8 +145,8 @@ void BM_GammaEmptiness_AntichainGoverned(benchmark::State& state) {
   ResourceGovernor governor;
   governor.set_deadline_after(std::chrono::hours(1));
   governor.set_memory_budget(size_t{1} << 33);
-  RunEmptiness(state, automaton, EmptinessEngine::kAntichain,
-               state.range(0) == 0, /*num_threads=*/1, &governor);
+  RunEmptiness(state, automaton, &DownwardEmptiness, state.range(0) == 0,
+               &governor);
 }
 BENCHMARK(BM_GammaEmptiness_AntichainGoverned)->Arg(0)->Arg(1);
 
@@ -155,13 +154,13 @@ BENCHMARK(BM_GammaEmptiness_AntichainGoverned)->Arg(0)->Arg(1);
 
 void BM_MultiReachEmptiness_Reference(benchmark::State& state) {
   Twapa automaton = MultiReach(static_cast<int>(state.range(0)));
-  RunEmptiness(state, automaton, EmptinessEngine::kReference, false);
+  RunEmptiness(state, automaton, &Reference, false);
 }
 BENCHMARK(BM_MultiReachEmptiness_Reference)->DenseRange(4, 10, 2);
 
 void BM_MultiReachEmptiness_Antichain(benchmark::State& state) {
   Twapa automaton = MultiReach(static_cast<int>(state.range(0)));
-  RunEmptiness(state, automaton, EmptinessEngine::kAntichain, false);
+  RunEmptiness(state, automaton, &DownwardEmptiness, false);
 }
 BENCHMARK(BM_MultiReachEmptiness_Antichain)->DenseRange(4, 10, 2);
 
@@ -169,13 +168,13 @@ BENCHMARK(BM_MultiReachEmptiness_Antichain)->DenseRange(4, 10, 2);
 
 void BM_ChainEmptiness_Reference(benchmark::State& state) {
   Twapa automaton = Chain(static_cast<int>(state.range(0)));
-  RunEmptiness(state, automaton, EmptinessEngine::kReference, false);
+  RunEmptiness(state, automaton, &Reference, false);
 }
 BENCHMARK(BM_ChainEmptiness_Reference)->Arg(64)->Arg(256);
 
 void BM_ChainEmptiness_Antichain(benchmark::State& state) {
   Twapa automaton = Chain(static_cast<int>(state.range(0)));
-  RunEmptiness(state, automaton, EmptinessEngine::kAntichain, false);
+  RunEmptiness(state, automaton, &DownwardEmptiness, false);
 }
 BENCHMARK(BM_ChainEmptiness_Antichain)->Arg(64)->Arg(256);
 

@@ -51,34 +51,6 @@ void BM_LinearContainmentPositive(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearContainmentPositive)->DenseRange(1, 8);
 
-/// Thread sweep over the same positive workload: per-disjunct RHS checks
-/// fan out over ContainmentOptions::num_threads workers. The outcome is
-/// identical at every thread count; wall-clock gains require >1 hardware
-/// core.
-void BM_LinearContainmentThreads(benchmark::State& state) {
-  int threads = static_cast<int>(state.range(0));
-  Schema schema = MakeSchema({{"Edge", 2}, {"Conn", 2}, {"Marked", 1}});
-  // Conn-chain LHS: every Conn atom rewrites to Edge or stays, so the
-  // enumeration yields 2^6 disjuncts = 64 independent RHS checks.
-  Omq q1{schema, ParseTgds(kSigma).value(), bench::ChainQuery("Conn", 6)};
-  Omq q2{schema, ParseTgds(kSigma).value(), bench::ChainQuery("Conn", 6)};
-  ContainmentOptions options;
-  options.num_threads = static_cast<size_t>(threads);
-  EngineStats stats;
-  for (auto _ : state) {
-    auto result = CheckContainment(q1, q2, options);
-    if (!result.ok() ||
-        result->outcome != ContainmentOutcome::kContained) {
-      state.SkipWithError("expected containment");
-      return;
-    }
-    stats = result->stats;
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-  bench::ReportEngineStats(state, stats);
-}
-BENCHMARK(BM_LinearContainmentThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 /// Refuted direction: a Conn-path does not imply an Edge-path.
 void BM_LinearContainmentNegative(benchmark::State& state) {
   int len = static_cast<int>(state.range(0));

@@ -71,33 +71,6 @@ void BM_StickyContainmentRefuted(benchmark::State& state) {
 }
 BENCHMARK(BM_StickyContainmentRefuted)->DenseRange(3, 5);
 
-/// Thread sweep on the fixed-arity sticky workload (len = 6): outcome is
-/// thread-count-independent; stats make the per-layer work visible.
-void BM_StickyContainmentThreads(benchmark::State& state) {
-  int threads = static_cast<int>(state.range(0));
-  Schema schema = bench::MakeSchema({{"R", 2}, {"P", 2}});
-  const char kSigma[] =
-      "R(X,Y), P(X,Z) -> T(X,Y,Z)."
-      "T(X,Y,Z) -> Both(X).";
-  Omq q1{schema, ParseTgds(kSigma).value(), bench::ChainQuery("R", 6)};
-  Omq q2{schema, ParseTgds(kSigma).value(), bench::ChainQuery("R", 1)};
-  ContainmentOptions options;
-  options.num_threads = static_cast<size_t>(threads);
-  EngineStats stats;
-  for (auto _ : state) {
-    auto result = CheckContainment(q1, q2, options);
-    if (!result.ok() ||
-        result->outcome != ContainmentOutcome::kContained) {
-      state.SkipWithError("expected containment");
-      return;
-    }
-    stats = result->stats;
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-  bench::ReportEngineStats(state, stats);
-}
-BENCHMARK(BM_StickyContainmentThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 /// Fixed-arity sticky containment (the ΠP2 row): lossless joins over a
 /// binary schema; witnesses stay polynomial.
 void BM_StickyContainmentFixedArity(benchmark::State& state) {

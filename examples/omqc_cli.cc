@@ -11,14 +11,10 @@
 // Flags (anywhere on the command line; shared with omqc_server/omqc_load,
 // parsed by src/core/frontend.h — malformed numeric values are a usage
 // error):
-//   --threads=N              worker threads for `contain` (0 = hardware
-//                            concurrency)
 //   --stats                  print per-layer EngineStats after `eval` /
 //                            `contain`
 //   --stats-json             print EngineStats as one JSON document (same
 //                            serializer as the server STATS endpoint)
-//   --chase=naive|seminaive  chase trigger-enumeration strategy for `eval`
-//                            and `contain` (default: seminaive)
 //   --cache=on|off           compilation cache (classification, UCQ
 //                            rewritings, prepared RHS evaluators) for
 //                            `eval` and `contain` (default: on)
@@ -105,7 +101,6 @@ int Eval(const Program& program, const Schema& schema,
   if (!omq.ok()) return Fail(omq.status().ToString());
   EngineStats stats;
   EvalOptions eval_options;
-  eval_options.chase_strategy = flags.chase;
   eval_options.cache = cache;
   ResourceGovernor governor;
   ApplyGovernorFlags(flags, &governor);
@@ -142,8 +137,6 @@ int Contain(const Program& program, const Schema& schema,
   if (!q1.ok()) return Fail(q1.status().ToString());
   if (!q2.ok()) return Fail(q2.status().ToString());
   ContainmentOptions options;
-  options.num_threads = flags.threads;
-  options.eval.chase_strategy = flags.chase;
   options.cache = cache;
   ResourceGovernor governor;
   ApplyGovernorFlags(flags, &governor);

@@ -21,18 +21,17 @@
 //   --tenant-max-concurrent=N  per-tenant concurrent-request cap; excess
 //                          requests queue FIFO instead of tripping
 //                          (default 0 = unlimited)
-//   --contain-threads=N    intra-request containment parallelism
-//                          (default 1; the pool parallelizes across
-//                          requests)
 //
-// Shared engine flags (src/core/frontend.h): --threads=N sizes the worker
-// pool (0 = hardware concurrency), --cache-capacity / --cache=on|off shape
-// the shared compilation cache, --cache-dir=PATH warm-starts the cache
-// from a persistent artifact store at boot and flushes new compilations
-// back on drain (an unusable directory degrades to memory-only),
-// --deadline-ms / --max-memory-mb set the server-wide request default
-// deadline and total memory budget, --chase picks the chase strategy.
-// --stats-json prints the final metrics document on shutdown.
+// The worker pool has one thread per hardware thread; each request runs
+// serially on one worker.
+//
+// Shared engine flags (src/core/frontend.h): --cache-capacity /
+// --cache=on|off shape the shared compilation cache, --cache-dir=PATH
+// warm-starts the cache from a persistent artifact store at boot and
+// flushes new compilations back on drain (an unusable directory degrades
+// to memory-only), --deadline-ms / --max-memory-mb set the server-wide
+// request default deadline and total memory budget. --stats-json prints
+// the final metrics document on shutdown.
 //
 // The daemon runs until a kShutdown request or SIGINT/SIGTERM, then
 // drains: running requests finish, requests still waiting on a tenant
@@ -73,12 +72,10 @@ bool ParseLocalFlag(const std::string& arg, const std::string& name,
 
 int main(int argc, char** argv) {
   EngineFlags flags;
-  flags.threads = 0;  // daemon default: hardware concurrency
   uint64_t port = 0;
   uint64_t tenant_memory_mb = 0;
   uint64_t tenant_deadline_ms = 0;
   uint64_t tenant_max_concurrent = 0;
-  uint64_t contain_threads = 1;
   std::string address = "127.0.0.1";
   std::string port_file;
 
@@ -96,8 +93,7 @@ int main(int argc, char** argv) {
         ParseLocalFlag(arg, "--tenant-deadline-ms", &tenant_deadline_ms,
                        &ok) ||
         ParseLocalFlag(arg, "--tenant-max-concurrent",
-                       &tenant_max_concurrent, &ok) ||
-        ParseLocalFlag(arg, "--contain-threads", &contain_threads, &ok)) {
+                       &tenant_max_concurrent, &ok)) {
       if (!ok) return 2;
       continue;
     }
@@ -112,7 +108,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "unknown flag '%s'\nusage: %s [--port=N] [--address=A] "
                  "[--port-file=PATH] [--tenant-memory-mb=N] [--tenant-deadline-ms=N] "
-                 "[--tenant-max-concurrent=N] [--contain-threads=N] %s\n",
+                 "[--tenant-max-concurrent=N] %s\n",
                  arg.c_str(), argv[0], EngineFlagsUsage());
     return 2;
   }
@@ -124,7 +120,6 @@ int main(int argc, char** argv) {
 
   ServerConfig config;
   config.listen_address = address;
-  config.worker_threads = flags.threads;
   config.cache_capacity = flags.cache ? flags.cache_capacity : 0;
   config.cache_dir = flags.cache ? flags.cache_dir : "";
   config.default_deadline_ms = flags.deadline_ms;
@@ -133,8 +128,6 @@ int main(int argc, char** argv) {
       static_cast<size_t>(tenant_memory_mb) << 20;
   config.tenant_quota.default_deadline_ms = tenant_deadline_ms;
   config.tenant_quota.max_concurrent = tenant_max_concurrent;
-  config.contain_threads = static_cast<size_t>(contain_threads);
-  config.chase = flags.chase;
 
   OmqServer server(std::move(config));
   auto bound = server.ListenAndStart(static_cast<uint16_t>(port));

@@ -4,12 +4,12 @@
 //   omqc_soak [--seed=S] [--count=N] [flags]
 //
 // Streams factory scenarios (src/soak/scenario.h) through every engine
-// configuration that claims identical verdicts — containment at threads
-// 1/2/8 over a shared cache, cache-off, governed-with-random-budgets
-// (trip → ungoverned retry), and a live in-process OmqServer reached over
-// real TCP with the retrying client — then cross-checks all pairs plus
-// the construction polarity oracle (src/soak/differential.h). A
-// discrepancy is minimized (src/soak/minimize.h) and written as a
+// configuration that claims identical verdicts — containment over a
+// shared cache ("cached"), cache-off ("nocache"), governed-with-random-
+// budgets (trip → ungoverned retry), and a live in-process OmqServer
+// reached over real TCP with the retrying client — then cross-checks all
+// pairs plus the construction polarity oracle (src/soak/differential.h).
+// A discrepancy is minimized (src/soak/minimize.h) and written as a
 // self-contained repro file replayable with
 // `omqc_cli contain <repro> Q1 Q2`.
 //
@@ -31,7 +31,7 @@
 //                     decoded from segments written by earlier ones
 //   --fail-fast       exit at the first discrepancy
 //   --plant-flip=CFG  test hook: flip config CFG's definite verdict (e.g.
-//                     "threads1") — every scenario then fails, proving
+//                     "cached") — every scenario then fails, proving
 //                     the harness catches and shrinks a verdict bug
 //
 // Determinism contract: stdout (scenario lines + summary) is a pure

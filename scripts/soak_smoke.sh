@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Differential soak smoke: a fixed-seed scenario corpus through every
-# engine configuration (threads 1/2/8, cache off, governed with random
-# budgets, live TCP server), three acceptance checks:
+# engine configuration (shared cache, cache off, governed with random
+# budgets, live TCP server), four acceptance checks:
 #
 #   1. Clean corpus: no configuration ever disagrees with another or with
 #      the construction polarity oracle.
@@ -87,7 +87,7 @@ echo "persist differential: byte-identical stdout, warm run hits=$hits"
 echo "planted-flip run..."
 set +e
 "$BUILD_DIR/examples/omqc_soak" --seed="$SEED" --count=3 --server=off \
-  --governed=off --plant-flip=threads1 --max-repros=1 \
+  --governed=off --plant-flip=cached --max-repros=1 \
   --repro-dir="$artifacts" >"$workdir/flip.txt" 2>&1
 flip_status=$?
 set -e

@@ -25,9 +25,11 @@ namespace omqc {
 
 class ResourceGovernor;
 
-/// Budgets for the subset construction.
+/// Budgets for downward emptiness: the subset construction here and the
+/// antichain engine (automata/emptiness.h).
 struct DownwardOptions {
-  /// Maximum number of reachable obligation sets (NTA states).
+  /// Maximum number of reachable obligation sets (NTA states, or interned
+  /// sets for the antichain engine).
   size_t max_states = 4096;
   /// Maximum number of DNF disjuncts per conjoined transition formula.
   size_t max_disjuncts = 4096;
@@ -38,7 +40,7 @@ struct DownwardOptions {
   /// Optional shared request governor (base/governor.h), checked once per
   /// worklist item and per label expansion; a trip surfaces as its trip
   /// status (kDeadlineExceeded / kCancelled / kResourceExhausted) from
-  /// DownwardToNta/DownwardIsEmpty. Not owned.
+  /// DownwardToNta/DownwardIsEmpty/DownwardEmptiness. Not owned.
   ResourceGovernor* governor = nullptr;
 };
 

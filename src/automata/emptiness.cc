@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -11,18 +9,8 @@
 #include "automata/stateset.h"
 #include "base/governor.h"
 #include "base/string_util.h"
-#include "base/thread_pool.h"
 
 namespace omqc {
-
-void EmptinessStats::Merge(const EmptinessStats& other) {
-  states_explored += other.states_explored;
-  states_subsumed += other.states_subsumed;
-  antichain_size = std::max(antichain_size, other.antichain_size);
-  emptiness_rounds += other.emptiness_rounds;
-  dnf_cache_hits += other.dnf_cache_hits;
-  dnf_cache_misses += other.dnf_cache_misses;
-}
 
 namespace {
 
@@ -30,10 +18,10 @@ namespace {
 /// homomorphism scan kernels (DESIGN.md "Governor check-site placement").
 constexpr int kGovernorStride = 64;
 
-/// Worker-local lazy (state,label) → minimal-models table. The underlying
-/// DownwardDnfCache gives sharing within one formula tree; this dense memo
-/// is the cross-call win, because Twapa::delta builds a fresh tree per
-/// invocation so node-pointer keys never repeat across calls.
+/// Lazy (state,label) → minimal-models table. The underlying
+/// DownwardDnfCache gives sharing within one formula tree; this dense
+/// memo is the cross-call win, because Twapa::delta builds a fresh tree
+/// per invocation so node-pointer keys never repeat across calls.
 class TransitionOracle {
  public:
   TransitionOracle(const Twapa* automaton, size_t max_disjuncts)
@@ -100,7 +88,7 @@ struct Expansion {
 Result<Expansion> ExpandSet(const Twapa& automaton,
                             const std::vector<int>& members,
                             TransitionOracle& oracle,
-                            const EmptinessOptions& options) {
+                            const DownwardOptions& options) {
   Expansion out;
   std::vector<DownwardDisjunct> models;
   std::vector<DownwardDisjunct> next;
@@ -154,11 +142,12 @@ Result<Expansion> ExpandSet(const Twapa& automaton,
 /// See the header's file comment for the algorithm.
 class AntichainEngine {
  public:
-  AntichainEngine(const Twapa& automaton, const EmptinessOptions& options)
+  AntichainEngine(const Twapa& automaton, const DownwardOptions& options)
       : automaton_(automaton),
         options_(options),
         arena_(automaton.num_states),
         antichain_(&arena_),
+        oracle_(&automaton, options.max_disjuncts),
         word_buf_(arena_.words_per_set(), 0) {}
 
   Result<bool> Run();
@@ -167,10 +156,8 @@ class AntichainEngine {
   EmptinessStats Stats() const {
     EmptinessStats out = stats_;
     out.antichain_size = antichain_.size();
-    for (const auto& oracle : oracles_) {
-      out.dnf_cache_hits += oracle->hits();
-      out.dnf_cache_misses += oracle->misses();
-    }
+    out.dnf_cache_hits = oracle_.hits();
+    out.dnf_cache_misses = oracle_.misses();
     return out;
   }
 
@@ -294,12 +281,8 @@ class AntichainEngine {
   }
 
   Status Cascade(bool& done);
-  Status ExpandBatchSerial(const std::vector<StateSetId>& batch,
-                           std::vector<StateSetId>& out_frontier, bool& done);
-  Status ExpandBatchParallel(ThreadPool& pool,
-                             const std::vector<StateSetId>& batch,
-                             std::vector<StateSetId>& out_frontier,
-                             bool& done);
+  Status ExpandBatch(const std::vector<StateSetId>& batch,
+                     std::vector<StateSetId>& out_frontier, bool& done);
 
   /// Accounts arena growth against the governor's memory budget.
   Status ChargeArenaGrowth() {
@@ -314,7 +297,7 @@ class AntichainEngine {
   }
 
   const Twapa& automaton_;
-  const EmptinessOptions& options_;
+  const DownwardOptions& options_;
   StateSetArena arena_;
   Antichain antichain_;
   std::vector<uint8_t> status_;  ///< per StateSetId, kProductive flag
@@ -329,7 +312,7 @@ class AntichainEngine {
   /// Freshly productive sets whose parents the cascade has yet to
   /// re-check.
   std::vector<StateSetId> pending_queue_;
-  std::vector<std::unique_ptr<TransitionOracle>> oracles_;
+  TransitionOracle oracle_;
   std::vector<uint64_t> word_buf_;  ///< scratch: one set of words
   StateSetId init_id_ = 0;
   size_t charged_bytes_ = 0;
@@ -337,9 +320,9 @@ class AntichainEngine {
   EmptinessStats stats_;
 };
 
-Status AntichainEngine::ExpandBatchSerial(
-    const std::vector<StateSetId>& batch,
-    std::vector<StateSetId>& out_frontier, bool& done) {
+Status AntichainEngine::ExpandBatch(const std::vector<StateSetId>& batch,
+                                    std::vector<StateSetId>& out_frontier,
+                                    bool& done) {
   std::vector<int> members;
   for (StateSetId id : batch) {
     if (done) return Status::OK();
@@ -358,60 +341,9 @@ Status AntichainEngine::ExpandBatchSerial(
     arena_.ForEachState(id, [&](int q) { members.push_back(q); });
     OMQC_ASSIGN_OR_RETURN(
         Expansion expansion,
-        ExpandSet(automaton_, members, *oracles_[0], options_));
+        ExpandSet(automaton_, members, oracle_, options_));
     OMQC_RETURN_IF_ERROR(
         MergeExpansion(id, std::move(expansion), out_frontier, done));
-  }
-  return Status::OK();
-}
-
-Status AntichainEngine::ExpandBatchParallel(
-    ThreadPool& pool, const std::vector<StateSetId>& batch,
-    std::vector<StateSetId>& out_frontier, bool& done) {
-  const size_t num_chunks =
-      std::min(batch.size(), oracles_.size());
-  std::vector<std::optional<Result<Expansion>>> results(batch.size());
-  for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-    pool.Submit([this, &batch, &results, chunk, num_chunks] {
-      // Workers only READ the arena and engine state (no interning
-      // happens during a batch) and write disjoint result slots; each
-      // chunk owns its oracle exclusively.
-      TransitionOracle& oracle = *oracles_[chunk];
-      std::vector<int> members;
-      for (size_t i = chunk; i < batch.size(); i += num_chunks) {
-        if (options_.governor != nullptr) {
-          Status probe = options_.governor->Check();
-          if (!probe.ok()) {
-            results[i] = Result<Expansion>(std::move(probe));
-            continue;  // sticky trip: remaining slots fail fast too
-          }
-        }
-        members.clear();
-        arena_.ForEachState(batch[i], [&](int q) { members.push_back(q); });
-        results[i] =
-            ExpandSet(automaton_, members, oracle, options_);
-      }
-    });
-  }
-  pool.Wait();
-  // Deterministic merge in batch order; the first error (identical for
-  // every thread count, trips aside) wins.
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (!results[i].has_value()) {
-      return Status::Internal("expansion worker dropped a result slot");
-    }
-    if (!results[i]->ok()) return results[i]->status();
-    if ((status_[batch[i]] & kProductive) != 0) continue;
-    if (antichain_.SubsumedBy(batch[i])) {
-      // The expansion already ran, but the verdict path matches the
-      // serial engine: subsumption makes the set productive either way.
-      ++stats_.states_subsumed;
-      if (MarkProductive(batch[i])) done = true;
-      continue;
-    }
-    OMQC_RETURN_IF_ERROR(MergeExpansion(batch[i], std::move(**results[i]),
-                                        out_frontier, done));
-    if (done) return Status::OK();
   }
   return Status::OK();
 }
@@ -419,8 +351,8 @@ Status AntichainEngine::ExpandBatchParallel(
 Status AntichainEngine::Cascade(bool& done) {
   // Pops a freshly productive set and re-checks its recorded parents;
   // MarkProductive re-queues, so the full transitive closure drains in
-  // one call. Serial on purpose: this is pure bookkeeping (word-sized
-  // loads and subset-of-status checks), cheap next to expansion.
+  // one call. Pure bookkeeping (word-sized loads and subset-of-status
+  // checks), cheap next to expansion.
   size_t pops = 0;
   while (!pending_queue_.empty() && !done) {
     const StateSetId id = pending_queue_.back();
@@ -442,14 +374,6 @@ Status AntichainEngine::Cascade(bool& done) {
 }
 
 Result<bool> AntichainEngine::Run() {
-  const size_t num_threads = std::max<size_t>(options_.num_threads, 1);
-  std::optional<ThreadPool> pool;
-  if (num_threads > 1) pool.emplace(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    oracles_.push_back(std::make_unique<TransitionOracle>(
-        &automaton_, options_.max_disjuncts));
-  }
-
   init_id_ = arena_.InternSingleton(automaton_.initial_state);
   status_.assign(arena_.size(), 0);
   groups_.resize(arena_.size());
@@ -475,13 +399,7 @@ Result<bool> AntichainEngine::Run() {
     frontier.clear();
     if (!done && !batch.empty()) {
       next_frontier.clear();
-      if (pool.has_value()) {
-        OMQC_RETURN_IF_ERROR(
-            ExpandBatchParallel(*pool, batch, next_frontier, done));
-      } else {
-        OMQC_RETURN_IF_ERROR(
-            ExpandBatchSerial(batch, next_frontier, done));
-      }
+      OMQC_RETURN_IF_ERROR(ExpandBatch(batch, next_frontier, done));
       frontier.swap(next_frontier);
       OMQC_RETURN_IF_ERROR(ChargeArenaGrowth());
     }
@@ -499,17 +417,8 @@ Result<bool> AntichainEngine::Run() {
 }  // namespace
 
 Result<bool> DownwardEmptiness(const Twapa& automaton,
-                               const EmptinessOptions& options) {
-  if (options.engine == EmptinessEngine::kReference) {
-    DownwardOptions reference;
-    reference.max_states = options.max_states;
-    reference.max_disjuncts = options.max_disjuncts;
-    reference.max_branching = options.max_branching;
-    reference.governor = options.governor;
-    Result<bool> verdict = DownwardIsEmpty(automaton, reference);
-    if (options.stats != nullptr) *options.stats = EmptinessStats{};
-    return verdict;
-  }
+                               const DownwardOptions& options,
+                               EmptinessStats* stats) {
   if (automaton.mode != AcceptanceMode::kFiniteRuns) {
     return Status::Unsupported(
         "the antichain engine targets finite-runs (all-priorities-odd) "
@@ -517,7 +426,7 @@ Result<bool> DownwardEmptiness(const Twapa& automaton,
   }
   AntichainEngine engine(automaton, options);
   Result<bool> verdict = engine.Run();
-  if (options.stats != nullptr) *options.stats = engine.Stats();
+  if (stats != nullptr) *stats = engine.Stats();
   return verdict;
 }
 

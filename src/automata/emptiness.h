@@ -1,12 +1,13 @@
 // On-the-fly emptiness for downward 2WAPAs: the antichain-pruned,
-// memoized, optionally parallel production engine behind the guarded
-// containment pipeline (Prop. 21/25 reductions).
+// memoized engine for the guarded containment pipeline's Prop. 21/25
+// reductions.
 //
-// The reference path (automata/downward.h) materializes the FULL subset
-// construction — every reachable obligation set, every rule — and only
-// then runs NTA emptiness. This engine decides the same question without
-// building the NTA, by computing the least fixpoint of "productive"
-// obligation sets directly:
+// The reference path (automata/downward.h, DownwardIsEmpty) materializes
+// the FULL subset construction — every reachable obligation set, every
+// rule — and only then runs NTA emptiness; tests keep it as this engine's
+// oracle. This engine decides the same question without building the
+// NTA, by computing the least fixpoint of "productive" obligation sets
+// directly:
 //
 //   Prod(S) ⟺ ∃ label ℓ, ∃ disjunct d of DNF(⋀_{q∈S} δ(q,ℓ)):
 //               ex(d) = ∅  (a leaf satisfies d — universal obligations
@@ -34,53 +35,24 @@
 // freshly productive set re-checks exactly those parents — O(edges)
 // total, never a rescan of all unresolved sets.
 //
-// Parallel mode (num_threads > 1) runs expansion batches on a ThreadPool
-// with the same contract as parallel containment: the verdict is
-// identical to the serial engine for every thread count (the fixpoint is
-// exact; only wall-clock and stats ordering vary), and the engine
-// early-exits as soon as the initial set is proven productive. The
-// cascade itself stays serial — it is bookkeeping-cheap next to
-// expansion. Governor probes follow the DESIGN.md placement rules: once
-// per expanded obligation set, every 64 label expansions within a set,
-// and every 64 cascade pops.
+// Governor probes follow the DESIGN.md placement rules: once per expanded
+// obligation set, every 64 label expansions within a set, and every 64
+// cascade pops. The engine early-exits as soon as the initial set is
+// proven productive.
 
 #ifndef OMQC_AUTOMATA_EMPTINESS_H_
 #define OMQC_AUTOMATA_EMPTINESS_H_
 
 #include <cstddef>
 
+#include "automata/downward.h"
 #include "automata/twapa.h"
 #include "base/status.h"
 
 namespace omqc {
 
-class ResourceGovernor;
-
-/// Which emptiness engine DownwardEmptiness dispatches to.
-enum class EmptinessEngine {
-  /// The on-the-fly antichain engine (this header's file comment).
-  kAntichain,
-  /// The exhaustive subset construction + NTA emptiness of
-  /// automata/downward.h, kept as the reference oracle. Ignores
-  /// num_threads (the reference is serial by construction).
-  kReference,
-};
-
-/// Compile-time default engine. Sanitizer presets build with
-/// -DOMQC_EMPTINESS_DEFAULT_REFERENCE (mirroring the OMQC_ENABLE_SIMD=OFF
-/// convention) so ASan/TSan jobs exercise the reference path by default
-/// while the agreement tests pin each engine explicitly.
-#ifdef OMQC_EMPTINESS_DEFAULT_REFERENCE
-inline constexpr EmptinessEngine kDefaultEmptinessEngine =
-    EmptinessEngine::kReference;
-#else
-inline constexpr EmptinessEngine kDefaultEmptinessEngine =
-    EmptinessEngine::kAntichain;
-#endif
-
-/// Observability counters of one emptiness run. Aggregated into
-/// EngineStats (core/engine_stats.h); plain tallies, no synchronization —
-/// the parallel engine merges worker-local copies under its own barrier.
+/// Observability counters of one emptiness run (tests and bench_guarded
+/// read them); plain tallies.
 struct EmptinessStats {
   size_t states_explored = 0;   ///< obligation sets expanded
   size_t states_subsumed = 0;   ///< sets proven productive by antichain
@@ -90,44 +62,19 @@ struct EmptinessStats {
   size_t emptiness_rounds = 0;
   size_t dnf_cache_hits = 0;    ///< per-(state,label) minimal-model reuses
   size_t dnf_cache_misses = 0;  ///< minimal-model computations
-
-  /// Sums tallies; antichain_size takes the max (it is a high-water
-  /// snapshot, not a rate).
-  void Merge(const EmptinessStats& other);
-};
-
-/// Budgets and knobs, superset of DownwardOptions so the two engines stay
-/// swappable behind one call site.
-struct EmptinessOptions {
-  EmptinessEngine engine = kDefaultEmptinessEngine;
-  /// Maximum number of distinct obligation sets (interned or, for the
-  /// reference engine, NTA states).
-  size_t max_states = 4096;
-  /// Maximum number of ⊆-minimal DNF disjuncts per obligation set.
-  size_t max_disjuncts = 4096;
-  /// Branching bound: disjuncts with more existential obligations are
-  /// rejected as InvalidArgument (Lemma 53 bounds branching by the state
-  /// count, so pass at least that).
-  int max_branching = 16;
-  /// Worker threads for the antichain engine's expansion batches; <= 1
-  /// runs serial. The propagation cascade is serial at every width.
-  size_t num_threads = 1;
-  /// Optional shared request governor (base/governor.h); a trip surfaces
-  /// as its trip status. Not owned.
-  ResourceGovernor* governor = nullptr;
-  /// Optional stats sink, overwritten (not accumulated) on every run that
-  /// gets far enough to count anything. Not owned.
-  EmptinessStats* stats = nullptr;
 };
 
 /// Exact emptiness of a downward finite-runs 2WAPA (within budgets):
-/// true iff L(automaton) = ∅. Verdicts are identical across engines and
-/// thread counts. Returns Unsupported for up/stay moves or safety
-/// acceptance, ResourceExhausted when a budget is hit, or the governor's
-/// trip status.
+/// true iff L(automaton) = ∅, the question DownwardIsEmpty answers by the
+/// full subset construction (`max_states` bounds the interned obligation
+/// sets here). Returns Unsupported for up/stay moves or safety acceptance,
+/// ResourceExhausted when a budget is hit, or the governor's trip status.
+/// `stats`, when non-null, is overwritten (not accumulated) by every run
+/// that gets far enough to count anything. Not owned.
 Result<bool> DownwardEmptiness(const Twapa& automaton,
-                               const EmptinessOptions& options =
-                                   EmptinessOptions());
+                               const DownwardOptions& options =
+                                   DownwardOptions(),
+                               EmptinessStats* stats = nullptr);
 
 }  // namespace omqc
 

@@ -1,8 +1,5 @@
 #include "base/fault_injection.h"
 
-#include <chrono>
-#include <thread>
-
 #include "base/rng.h"
 
 namespace omqc {
@@ -25,15 +22,6 @@ FaultPlan RandomFaultPlan(SplitMix64& rng) {
   }
   if (rng.Chance(25)) plan.fail_insert_at = rng.Between(1, 16);
   return plan;
-}
-
-void FaultInjector::OnWorkerTask(size_t worker_index) {
-  if (plan_.stall_worker < 0 ||
-      worker_index != static_cast<size_t>(plan_.stall_worker)) {
-    return;
-  }
-  MarkFired();
-  std::this_thread::sleep_for(std::chrono::milliseconds(plan_.stall_millis));
 }
 
 }  // namespace omqc

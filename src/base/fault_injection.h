@@ -2,7 +2,7 @@
 //
 // A FaultPlan is a declarative, seedable description of *when* a fault
 // fires ("trip the deadline at the Nth governor check", "fail the Kth
-// cache insert", "stall worker i"); a FaultInjector compiles the plan into
+// cache insert"); a FaultInjector compiles the plan into
 // thread-safe hooks that the production code consults at its existing
 // check sites. The hooks are test-only in the sense that nothing installs
 // an injector outside tests — the consult points themselves are compiled
@@ -11,10 +11,8 @@
 //
 // Determinism: every trigger is expressed in *logical* event counts
 // (governor checks, byte charges, cache inserts), never in wall-clock
-// time, so a single-threaded replay of the same workload fires the same
-// fault at the same point. Under worker threads the global event order
-// may vary, but whether the fault fires (given enough events) and what it
-// injects do not — which is exactly what the chaos suite
+// time, so a replay of the same serial workload fires the same fault at
+// the same point — which is exactly what the chaos suite
 // (tests/fault_injection_test.cc) needs to assert outcome soundness.
 
 #ifndef OMQC_BASE_FAULT_INJECTION_H_
@@ -43,20 +41,15 @@ struct FaultPlan {
   uint64_t memory_at_charge = 0;
   /// Drop this cache insert (OmqCache::PutErased call) on the floor.
   uint64_t fail_insert_at = 0;
-  /// Stall the ThreadPool worker with this index (-1 = none) for
-  /// `stall_millis` at the start of each task it picks up.
-  int stall_worker = -1;
-  uint64_t stall_millis = 0;
 };
 
 class SplitMix64;
 
 /// Draws a randomized plan for chaos sweeps from `rng`: at most one
 /// governor-level fault (deadline trip, cancellation, or memory-charge
-/// failure) plus an independent chance of a dropped cache insert. Worker
-/// stalls are left to dedicated tests. The drawn plan records
-/// the rng state it was derived from in `seed` so a failing sweep
-/// iteration reproduces from its log line.
+/// failure) plus an independent chance of a dropped cache insert. The
+/// drawn plan records the rng state it was derived from in `seed` so a
+/// failing sweep iteration reproduces from its log line.
 FaultPlan RandomFaultPlan(SplitMix64& rng);
 
 /// Compiles a FaultPlan into hooks. All hooks are thread-safe; event
@@ -106,11 +99,6 @@ class FaultInjector {
     }
     return false;
   }
-
-  /// Consulted by ThreadPool workers at task start (via the global task
-  /// hook installed by the test). Sleeps when this worker is the stall
-  /// target. Implemented out of line to keep <thread> out of this header.
-  void OnWorkerTask(size_t worker_index);
 
   /// True once any fault of the plan has been delivered. The chaos suite
   /// uses this to tell "the run genuinely finished before the fault" from

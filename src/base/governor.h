@@ -18,8 +18,8 @@
 //
 // Trips are *sticky*: once any limit is exceeded the governor latches the
 // trip status and every subsequent Check()/ChargeBytes from any thread
-// returns it, so all workers of a parallel run wind down after the first
-// observation. Layers translate a trip into their local tri-state
+// returns it, so every later probe of the request winds down after the
+// first observation. Layers translate a trip into their local tri-state
 // degradation (kExhausted / truncated / kUnknown) — a trip may remove
 // information but never flips a definite answer.
 //

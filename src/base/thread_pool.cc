@@ -5,21 +5,11 @@
 
 namespace omqc {
 
-namespace {
-std::atomic<ThreadPool::TaskHook> g_task_hook{nullptr};
-std::atomic<void*> g_task_hook_ctx{nullptr};
-}  // namespace
-
-void ThreadPool::SetTaskHookForTesting(TaskHook hook, void* ctx) {
-  g_task_hook_ctx.store(ctx, std::memory_order_release);
-  g_task_hook.store(hook, std::memory_order_release);
-}
-
 ThreadPool::ThreadPool(size_t num_threads) {
   size_t n = std::max<size_t>(num_threads, 1);
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -35,7 +25,6 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) return;
     queue_.push_back(std::move(task));
     ++in_flight_;
   }
@@ -47,39 +36,19 @@ void ThreadPool::Wait() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-size_t ThreadPool::Stop() {
-  size_t abandoned;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopped_ = true;
-    abandoned = queue_.size();
-    queue_.clear();
-    in_flight_ -= abandoned;  // running tasks keep their in_flight_ slot
-    if (in_flight_ == 0) all_done_.notify_all();
-  }
-  work_ready_.notify_all();
-  return abandoned;
-}
-
 size_t ThreadPool::DefaultConcurrency() {
   return std::max<size_t>(std::thread::hardware_concurrency(), 1);
 }
 
-void ThreadPool::WorkerLoop(size_t worker_index) {
+void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_ready_.wait(lock, [this] {
-        return stopped_ || shutdown_ || !queue_.empty();
-      });
-      if (stopped_) return;        // abandon: never start another task
+      work_ready_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
       if (queue_.empty()) return;  // shutdown with a drained queue
       task = std::move(queue_.front());
       queue_.pop_front();
-    }
-    if (TaskHook hook = g_task_hook.load(std::memory_order_acquire)) {
-      hook(g_task_hook_ctx.load(std::memory_order_acquire), worker_index);
     }
     task();
     {

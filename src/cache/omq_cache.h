@@ -12,8 +12,8 @@
 // is configured.
 //
 // Concurrency: keys hash to one of `shards` independent shards, each with
-// its own mutex, LRU list and counters; the parallel containment engine
-// shares one OmqCache across all pool workers. Values are immutable
+// its own mutex, LRU list and counters; the server shares one OmqCache
+// across all pool workers. Values are immutable
 // objects handed out as shared_ptr<const T>; a value stays alive while any
 // reader holds it, even after eviction.
 //

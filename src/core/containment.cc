@@ -1,14 +1,10 @@
 #include "core/containment.h"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
-#include <optional>
 #include <utility>
 
 #include "base/governor.h"
 #include "base/string_util.h"
-#include "base/thread_pool.h"
 #include "cache/cached_ops.h"
 #include "logic/homomorphism.h"
 
@@ -31,11 +27,10 @@ namespace {
 /// The RHS check callback: "tuple ∈ Q2(D)?" for a frozen candidate. Exact
 /// true/false, or an error Status (typically ResourceExhausted, or a
 /// governor trip) when a budget prevented an exact answer. Per-call work
-/// is tallied into `stats` (never null inside RunEngine); implementations
-/// must be safe to invoke concurrently from several worker threads with
-/// distinct stats objects. The governor is passed PER CALL — evaluators
-/// may be cached across requests (ArtifactKind::kRhsEvaluator) and must
-/// never store a request's governor pointer.
+/// is tallied into `stats` (never null inside RunEngine). The governor is
+/// passed PER CALL — evaluators may be cached across requests
+/// (ArtifactKind::kRhsEvaluator) and must never store a request's
+/// governor pointer.
 using ContainsFn = std::function<Result<bool>(
     const Database&, const std::vector<Term>&, EngineStats*,
     ResourceGovernor*)>;
@@ -46,8 +41,8 @@ using ContainsFn = std::function<Result<bool>(
 /// owns copies of everything it needs, so it is cacheable under
 /// ArtifactKind::kRhsEvaluator and may be shared across containment calls
 /// whose RHS is the same OMQ up to variable renaming. Contains() is const
-/// and touches no mutable state, so the parallel engine may call it from
-/// any number of workers.
+/// and touches no mutable state, so server workers may share one cached
+/// evaluator across concurrent requests.
 class RhsEvaluator {
  public:
   /// Builds (or fetches from options.cache) the evaluator for `q2`. On a
@@ -154,25 +149,16 @@ class RhsEvaluator {
 };
 
 /// The shared engine: enumerate LHS rewriting disjuncts, freeze each, test
-/// the frozen candidate against `contains`.
-///
-/// With options.num_threads > 1 the RHS checks fan out over a ThreadPool:
-/// enumeration and freezing stay on the calling thread, each candidate is
-/// checked by a worker, and a refutation raises an atomic stop flag that
-/// (a) makes in-queue tasks return immediately and (b) stops the
-/// enumeration at its next disjunct. Workers tally into thread-local
-/// EngineStats objects merged under one mutex, so the search hot paths
-/// never contend. The serial path (num_threads <= 1) runs the identical
-/// per-candidate logic inline; outcomes are the same either way, because
-/// a refutation wins regardless of which worker finds it and kContained /
-/// kUnknown are decided only after every check has finished.
+/// the frozen candidate against `contains` on the calling thread. The
+/// first refuting candidate (in enumeration order) is the witness and
+/// stops the enumeration; kContained / kUnknown are decided only after
+/// every check has finished.
 ///
 /// Governance: the run executes under a CHILD of options.governor (also
 /// created when the caller passed none, where it simply never trips). The
 /// child shares the caller's deadline/token/budget through the parent
-/// chain, but owns its own token: a refutation cancels the child, which
-/// yanks every in-flight worker out of its search within one check stride
-/// — real cancellation propagation, not just queue draining — without
+/// chain and carries the run's probe counters, but owns its own token: a
+/// refutation cancels the child, which stops the enumeration without
 /// cancelling the caller's request, which may have sibling runs left.
 /// Only a trip of the USER's governor degrades the outcome; a child-only
 /// cancellation is the engine's own early exit and stays invisible.
@@ -183,18 +169,10 @@ Result<ContainmentResult> RunEngine(const Omq& q1,
   bool refuted = false;
   bool inconclusive_rhs = false;
   std::string rhs_detail;
-  XRewriteStats lhs_stats;   // written by the enumeration (caller thread)
+  XRewriteStats lhs_stats;   // written by the enumeration
   CacheCounters lhs_cache;   // cache traffic of the enumeration itself
-  EngineStats check_stats;   // merged RHS-check work, guarded by mu if pooled
-  std::mutex mu;
-  std::atomic<bool> stop{false};
+  EngineStats check_stats;   // merged RHS-check work
   ResourceGovernor run_governor(options.governor);
-
-  size_t num_threads = options.num_threads != 0
-                           ? options.num_threads
-                           : ThreadPool::DefaultConcurrency();
-  std::optional<ThreadPool> pool;
-  if (num_threads > 1) pool.emplace(num_threads);
 
   // Snapshot the child's counters into the result on every return path
   // (including error returns from the enumeration).
@@ -204,8 +182,7 @@ Result<ContainmentResult> RunEngine(const Omq& q1,
     ~CountersScope() { result->stats.governor.Merge(governor->counters()); }
   } counters_scope{&run_governor, &result};
 
-  // Folds one finished RHS check into the shared state. Caller holds `mu`
-  // when pooled; runs inline otherwise.
+  // Folds one finished RHS check into the run state.
   auto record = [&](Result<bool> r, FrozenQuery frozen, EngineStats local) {
     check_stats.Merge(local);
     if (!r.ok()) {
@@ -220,42 +197,27 @@ Result<ContainmentResult> RunEngine(const Omq& q1,
       ++check_stats.witnesses_rejected;  // candidate failed to refute
       return;
     }
-    if (!refuted) {
-      refuted = true;
-      result.witness = ContainmentWitness{std::move(frozen.database),
-                                          std::move(frozen.answer_tuple)};
-    }
-    stop.store(true, std::memory_order_relaxed);
-    run_governor.Cancel();  // yank sibling workers out of their searches
+    refuted = true;
+    result.witness = ContainmentWitness{std::move(frozen.database),
+                                        std::move(frozen.answer_tuple)};
+    run_governor.Cancel();  // stop the enumeration
   };
 
   std::function<bool(const ConjunctiveQuery&)> on_disjunct =
       [&](const ConjunctiveQuery& p) {
-        if (stop.load(std::memory_order_relaxed)) return false;
+        if (refuted) return false;
         ++result.candidates_checked;
         result.max_witness_size = std::max(result.max_witness_size, p.size());
         FrozenQuery frozen = Freeze(p);
-        if (!pool.has_value()) {
-          EngineStats local;
-          Result<bool> r = contains(frozen.database, frozen.answer_tuple,
-                                    &local, &run_governor);
-          record(std::move(r), std::move(frozen), std::move(local));
-          return !stop.load(std::memory_order_relaxed);
-        }
-        pool->Submit([&contains, &record, &mu, &stop, &run_governor,
-                      frozen = std::move(frozen)]() mutable {
-          if (stop.load(std::memory_order_relaxed)) return;
-          EngineStats local;
-          Result<bool> r = contains(frozen.database, frozen.answer_tuple,
-                                    &local, &run_governor);
-          std::lock_guard<std::mutex> lock(mu);
-          record(std::move(r), std::move(frozen), std::move(local));
-        });
-        return true;
+        EngineStats local;
+        Result<bool> r = contains(frozen.database, frozen.answer_tuple,
+                                  &local, &run_governor);
+        record(std::move(r), std::move(frozen), std::move(local));
+        return !refuted;
       };
 
-  // The enumeration runs under the child too, so a refuting worker (or
-  // the user's deadline) also stops LHS rewriting between disjuncts.
+  // The enumeration runs under the child too, so a refutation (or the
+  // user's deadline) also stops LHS rewriting between disjuncts.
   XRewriteOptions lhs_options = options.rewrite;
   lhs_options.governor = &run_governor;
   OMQC_ASSIGN_OR_RETURN(
@@ -263,7 +225,6 @@ Result<ContainmentResult> RunEngine(const Omq& q1,
       CachedEnumerateRewritings(options.cache, q1.data_schema, q1.tgds,
                                 q1.query, lhs_options, on_disjunct,
                                 &lhs_stats, &lhs_cache));
-  if (pool.has_value()) pool->Wait();
 
   result.stats.Merge(check_stats);
   result.stats.rewrite.Merge(lhs_stats);
@@ -271,10 +232,9 @@ Result<ContainmentResult> RunEngine(const Omq& q1,
   result.stats.disjuncts_checked += result.candidates_checked;
 
   // A definite answer is never flipped by a trip: a refutation found
-  // before (or racing) the trip stands, and kContained requires a
-  // saturated enumeration with every RHS check conclusive — impossible
-  // once the user governor tripped, because tripped checks come back
-  // inconclusive.
+  // before the trip stands, and kContained requires a saturated
+  // enumeration with every RHS check conclusive — impossible once the
+  // user governor tripped, because tripped checks come back inconclusive.
   if (refuted) {
     result.outcome = ContainmentOutcome::kNotContained;
     return result;

@@ -53,6 +53,8 @@ struct ContainmentWitness {
 
 struct ContainmentResult {
   ContainmentOutcome outcome = ContainmentOutcome::kUnknown;
+  /// kNotContained only: the first refuting candidate in enumeration
+  /// order, so the same inputs always report the same counterexample.
   std::optional<ContainmentWitness> witness;
   /// Explanation for kUnknown outcomes.
   std::string detail;
@@ -73,13 +75,6 @@ struct ContainmentOptions {
   XRewriteOptions rewrite;
   /// Budgets for evaluating the RHS over candidate witnesses.
   EvalOptions eval;
-  /// Worker threads for the per-disjunct RHS checks: 1 (default) runs the
-  /// engine serially on the calling thread; 0 means "hardware
-  /// concurrency"; n > 1 fans the frozen candidates out over n workers
-  /// with an early exit once any worker refutes containment. The outcome
-  /// is identical for every thread count (only the reported witness may
-  /// differ when several disjuncts refute).
-  size_t num_threads = 1;
   /// Optional compilation cache (null = no caching). Consulted for the LHS
   /// rewriting enumeration, the RHS ontology classification/rewriting and
   /// the prepared RHS evaluator; also propagated into `eval.cache` when
@@ -87,15 +82,15 @@ struct ContainmentOptions {
   /// identical with and without it (only compilation work is reused).
   ArtifactStore* cache = nullptr;
   /// Optional shared request governor (base/governor.h) bounding the whole
-  /// containment request — LHS enumeration, freezing, and every RHS check,
-  /// serial or pooled — by wall-clock deadline, cooperative cancellation
-  /// and memory budget. Internally the engine layers a child governor on
-  /// top (sharing these limits but owning its own token) so a refuting
-  /// worker can cancel its siblings without cancelling the caller's
-  /// request. A trip degrades the outcome to kUnknown with the trip in
-  /// `detail` — a refutation found before the trip still wins
-  /// (kNotContained), and a definite answer is never flipped. Propagated
-  /// into `eval.governor` when that is null. Not owned.
+  /// containment request — LHS enumeration, freezing, and every RHS check
+  /// — by wall-clock deadline, cooperative cancellation and memory budget.
+  /// Internally the engine layers a child governor on top (sharing these
+  /// limits but owning its own token) so a refutation can stop the
+  /// enumeration without cancelling the caller's request. A trip degrades
+  /// the outcome to kUnknown with the trip in `detail` — a refutation
+  /// found before the trip still wins (kNotContained), and a definite
+  /// answer is never flipped. Propagated into `eval.governor` when that is
+  /// null. Not owned.
   ResourceGovernor* governor = nullptr;
 
   ContainmentOptions() {

@@ -18,7 +18,6 @@ void EngineStats::Merge(const EngineStats& other) {
   disjuncts_checked += other.disjuncts_checked;
   witnesses_rejected += other.witnesses_rejected;
   budget_exhaustions += other.budget_exhaustions;
-  automata.Merge(other.automata);
   cache.Merge(other.cache);
   governor.Merge(other.governor);
 }
@@ -46,12 +45,6 @@ std::string EngineStats::ToString() const {
       " delta_rounds=", chase_delta_rounds,
       " triggers_enumerated=", chase_triggers_enumerated,
       " redundant_triggers_skipped=", chase_redundant_triggers_skipped, "\n",
-      "  automata:    states_explored=", automata.states_explored,
-      " states_subsumed=", automata.states_subsumed,
-      " antichain_size=", automata.antichain_size,
-      " emptiness_rounds=", automata.emptiness_rounds,
-      " dnf_cache_hits=", automata.dnf_cache_hits,
-      " dnf_cache_misses=", automata.dnf_cache_misses, "\n",
       "  governor:    checks=", governor.checks,
       " deadline_trips=", governor.deadline_trips,
       " cancel_trips=", governor.cancel_trips,

@@ -3,16 +3,14 @@
 // One struct aggregates the counters of every layer the engine touches —
 // homomorphism search (src/logic), XRewrite enumeration (src/rewrite), the
 // chase (src/chase) and the containment loop itself (src/core). Counters
-// are plain tallies with no synchronization: the parallel containment
-// engine keeps one EngineStats per worker task and merges them under a
-// lock, so the hot search paths never contend.
+// are plain tallies with no synchronization: one request fills one
+// EngineStats on the thread that runs it.
 
 #ifndef OMQC_CORE_ENGINE_STATS_H_
 #define OMQC_CORE_ENGINE_STATS_H_
 
 #include <string>
 
-#include "automata/emptiness.h"
 #include "base/governor.h"
 #include "cache/omq_cache.h"
 #include "logic/homomorphism.h"
@@ -45,18 +43,14 @@ struct EngineStats {
   size_t witnesses_rejected = 0;   ///< candidates that failed to refute
   size_t budget_exhaustions = 0;   ///< RHS checks that hit some budget
 
-  /// Guarded-fragment automata layer: 2WAPA emptiness exploration,
-  /// antichain pruning and DNF-memo traffic (automata/emptiness.h).
-  EmptinessStats automata;
-
   /// Compilation-cache traffic attributable to this run (src/cache).
   CacheCounters cache;
 
   /// Request-governor activity (base/governor.h): probe count and trips.
   /// Snapshotted from the request's governor at the entry points; fields
   /// are monotone snapshots of ONE shared source, so Merge takes the
-  /// element-wise max rather than summing (several workers reporting the
-  /// same governor must not double-count).
+  /// element-wise max rather than summing (several entry points of one
+  /// request snapshot the same governor and must not double-count).
   GovernorCounters governor;
 
   void Merge(const EngineStats& other);

@@ -52,7 +52,6 @@ ChaseOptions ChaseOptionsFor(const TgdProfile& profile,
                              const EvalOptions& options) {
   ChaseOptions chase;
   chase.variant = ChaseVariant::kRestricted;
-  chase.strategy = options.chase_strategy;
   chase.max_atoms = options.chase_max_atoms;
   chase.governor = options.governor;
   if (profile.primary != TgdClass::kEmpty && !profile.ChaseTerminates()) {
@@ -121,7 +120,6 @@ uint64_t ChaseOptionsDigestFor(const ChaseOptions& chase) {
 uint64_t EvalOptionsDigest(const EvalOptions& options) {
   uint64_t h = 0x2545f4914f6cdd1dULL;
   h = Fold(h, static_cast<uint64_t>(options.strategy));
-  h = Fold(h, static_cast<uint64_t>(options.chase_strategy));
   h = Fold(h, options.chase_max_atoms);
   h = Fold(h, static_cast<uint64_t>(options.chase_max_level));
   h = Fold(h, options.hom_max_steps);

@@ -36,10 +36,6 @@ struct EvalOptions {
     kRewrite,  ///< force the rewriting path
   };
   Strategy strategy = Strategy::kAuto;
-  /// Trigger-enumeration strategy for every chase the evaluation runs
-  /// (kSemiNaive default; kNaive is the reference engine, selectable for
-  /// A/B comparison via `omqc_cli --chase=naive`).
-  ChaseStrategy chase_strategy = ChaseStrategy::kSemiNaive;
   /// Chase budgets used by the chase path for guarded/general ontologies.
   size_t chase_max_atoms = 200000;
   int chase_max_level = 16;

@@ -9,8 +9,7 @@
 namespace omqc {
 
 const char* EngineFlagsUsage() {
-  return "[--threads=N] [--stats] [--stats-json] "
-         "[--chase=naive|seminaive] [--cache=on|off] [--cache-capacity=N] "
+  return "[--stats] [--stats-json] [--cache=on|off] [--cache-capacity=N] "
          "[--cache-dir=PATH] [--deadline-ms=N] [--max-memory-mb=N]";
 }
 
@@ -52,31 +51,12 @@ Result<bool> ConsumeUnsigned(const std::string& arg, const char* name,
 
 Result<bool> ParseEngineFlag(const std::string& arg, EngineFlags* flags) {
   uint64_t value = 0;
-  {
-    auto r = ConsumeUnsigned(arg, "--threads", &value);
-    if (!r.ok()) return r.status();
-    if (*r) {
-      flags->threads = static_cast<size_t>(value);
-      return true;
-    }
-  }
   if (arg == "--stats") {
     flags->stats = true;
     return true;
   }
   if (arg == "--stats-json") {
     flags->stats_json = true;
-    return true;
-  }
-  if (arg.rfind("--chase=", 0) == 0) {
-    std::string strategy = arg.substr(8);
-    if (strategy == "naive") {
-      flags->chase = ChaseStrategy::kNaive;
-    } else if (strategy == "seminaive") {
-      flags->chase = ChaseStrategy::kSemiNaive;
-    } else {
-      return Status::InvalidArgument("--chase expects 'naive' or 'seminaive'");
-    }
     return true;
   }
   if (arg.rfind("--cache=", 0) == 0) {

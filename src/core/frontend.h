@@ -4,9 +4,9 @@
 //
 // The three binaries accept the same --cache=/--deadline-ms=/... engine
 // flags; parsing lives here once so they cannot drift. Numeric flag values
-// are parsed *strictly* — "--threads=12x" or "--deadline-ms=" is a usage
-// error, not a silent 12 or 0 (omqc_cli historically accepted both via
-// strtoul).
+// are parsed *strictly* — "--deadline-ms=12x" or "--deadline-ms=" is a
+// usage error, not a silent 12 or 0 (omqc_cli historically accepted both
+// via strtoul).
 //
 // The Format* functions produce the exact text omqc_cli prints for a
 // verdict; the server returns the same strings as response bodies, which
@@ -24,7 +24,6 @@
 
 #include "base/governor.h"
 #include "cache/persist.h"
-#include "chase/chase.h"
 #include "core/containment.h"
 #include "core/omq.h"
 #include "tgd/parser.h"
@@ -33,10 +32,8 @@ namespace omqc {
 
 /// The engine flags shared by every omqc binary.
 struct EngineFlags {
-  size_t threads = 1;      ///< --threads=N (0 = hardware concurrency)
   bool stats = false;      ///< --stats (human-readable EngineStats)
   bool stats_json = false; ///< --stats-json (machine-readable EngineStats)
-  ChaseStrategy chase = ChaseStrategy::kSemiNaive;  ///< --chase=...
   bool cache = true;             ///< --cache=on|off
   size_t cache_capacity = 1024;  ///< --cache-capacity=N (> 0)
   std::string cache_dir;         ///< --cache-dir=PATH ("" = memory only)
@@ -50,7 +47,7 @@ const char* EngineFlagsUsage();
 
 /// Strict unsigned decimal parse of a flag value: the whole of `text` must
 /// be digits and fit in a uint64_t. `flag` names the flag for the error
-/// message ("--threads").
+/// message ("--deadline-ms").
 Result<uint64_t> ParseUnsignedFlagValue(const std::string& flag,
                                         const std::string& text);
 

@@ -79,15 +79,6 @@ void AppendEngineStatsJson(JsonWriter& w, std::string_view key,
           stats.chase_redundant_triggers_skipped);
   w.EndObject();
 
-  w.BeginObject("automata");
-  w.Field("states_explored", stats.automata.states_explored);
-  w.Field("states_subsumed", stats.automata.states_subsumed);
-  w.Field("antichain_size", stats.automata.antichain_size);
-  w.Field("emptiness_rounds", stats.automata.emptiness_rounds);
-  w.Field("dnf_cache_hits", stats.automata.dnf_cache_hits);
-  w.Field("dnf_cache_misses", stats.automata.dnf_cache_misses);
-  w.EndObject();
-
   AppendGovernorCountersJson(w, "governor", stats.governor);
   AppendCacheCountersJson(w, "cache", stats.cache);
 

@@ -14,7 +14,7 @@ struct PredicateInfo {
   int arity;
 };
 
-/// Synchronized for the parallel containment engine (see base/thread_pool);
+/// Synchronized for concurrent requests on the server's worker pool;
 /// `infos` is a deque so references handed out by Info() survive growth.
 struct PredicateInterner {
   std::mutex mu;

@@ -152,8 +152,8 @@ std::string ConjunctiveQuery::ToString() const {
 }
 
 FrozenQuery Freeze(const ConjunctiveQuery& q, const std::string& tag) {
-  // Atomic: worker threads of the parallel containment engine freeze
-  // candidate disjuncts concurrently.
+  // Atomic: concurrent requests on the server's worker pool freeze
+  // candidate disjuncts at the same time.
   static std::atomic<int64_t> freeze_counter{0};
   int64_t stamp = freeze_counter.fetch_add(1, std::memory_order_relaxed);
   FrozenQuery out;

@@ -11,9 +11,9 @@ namespace omqc {
 namespace {
 
 /// One interning table per term sort that carries a name. Synchronized so
-/// worker threads of the parallel containment engine can intern terms
-/// concurrently; `names` is a deque, whose element references stay stable
-/// across growth, so `Name()` can hand out references without copying.
+/// server workers running concurrent requests can intern terms; `names`
+/// is a deque, whose element references stay stable across growth, so
+/// `Name()` can hand out references without copying.
 struct Interner {
   std::mutex mu;
   std::unordered_map<std::string, int32_t> by_name;

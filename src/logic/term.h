@@ -2,8 +2,9 @@
 //
 // Terms are small value types backed by a process-wide interning table, so
 // equality and hashing are O(1) integer operations. The interning tables
-// and the fresh-null counter are synchronized: the parallel containment
-// engine (src/core/containment.cc) interns terms from worker threads.
+// and the fresh-null counter are synchronized: the server
+// (src/server/server.cc) runs requests, which intern terms, on several
+// worker threads.
 
 #ifndef OMQC_LOGIC_TERM_H_
 #define OMQC_LOGIC_TERM_H_

@@ -309,7 +309,6 @@ void OmqServer::Execute(const std::shared_ptr<PendingRequest>& pending) {
         break;
       }
       EvalOptions options;
-      options.chase_strategy = config_.chase;
       options.cache = cache_.get();
       options.governor = &req_gov;
       auto answers =
@@ -335,8 +334,6 @@ void OmqServer::Execute(const std::shared_ptr<PendingRequest>& pending) {
         break;
       }
       ContainmentOptions options;
-      options.num_threads = std::max<size_t>(1, config_.contain_threads);
-      options.eval.chase_strategy = config_.chase;
       options.cache = cache_.get();
       options.governor = &req_gov;
       auto result = CheckContainment(*q1, *q2, options);

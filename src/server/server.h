@@ -41,7 +41,6 @@
 #include "base/socket.h"
 #include "base/thread_pool.h"
 #include "cache/persist.h"
-#include "chase/chase.h"
 #include "server/tenant.h"
 #include "server/wire.h"
 
@@ -67,11 +66,6 @@ struct ServerConfig {
   size_t server_memory_budget_bytes = 0;
   /// Per-tenant limits.
   TenantQuota tenant_quota;
-  /// Intra-request parallelism for containment checks. Kept at 1 by
-  /// default: the server parallelizes across requests via the pool.
-  size_t contain_threads = 1;
-  /// Chase strategy for evaluation paths.
-  ChaseStrategy chase = ChaseStrategy::kSemiNaive;
 };
 
 /// Server-level tallies (beyond cache/tenant counters).

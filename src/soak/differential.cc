@@ -57,8 +57,7 @@ Result<SoakVerdict> RunDifferential(const Program& program,
   SoakVerdict verdict;
   verdict.primary_class = PrimaryClass(program.tgds);
 
-  auto contain = [&](size_t threads, ArtifactStore* cache,
-                     ResourceGovernor* governor) {
+  auto contain = [&](ArtifactStore* cache, ResourceGovernor* governor) {
     ContainmentOptions copts;
     copts.rewrite.max_queries = options.rewrite_max_queries;
     // Secondary bounds for walk-tile rewritings whose CQs keep growing:
@@ -66,8 +65,6 @@ Result<SoakVerdict> RunDifferential(const Program& program,
     // keeps many guarded enumerations finite and every config symmetric).
     copts.rewrite.max_steps = 20000;
     copts.rewrite.prune_subsumed = true;
-    copts.eval.chase_strategy = options.chase;
-    copts.num_threads = threads;
     copts.cache = cache;
     copts.governor = governor;
     return CheckContainment(q1, q2, copts);
@@ -76,7 +73,6 @@ Result<SoakVerdict> RunDifferential(const Program& program,
   auto eval_witness = [&](ArtifactStore* cache, ConfigOutcome* co) {
     if (options.witness.empty()) return;
     EvalOptions eopts;
-    eopts.chase_strategy = options.chase;
     eopts.cache = cache;
     auto answer = EvalTuple(q1, program.facts, options.witness, eopts);
     if (answer.ok()) {
@@ -94,30 +90,23 @@ Result<SoakVerdict> RunDifferential(const Program& program,
     verdict.outcomes.push_back(std::move(co));
   };
 
-  // Local configs: one per thread count, over the shared cache.
-  bool first_config = true;
-  for (size_t threads : options.thread_counts) {
+  {
+    // The cached config vets the program itself; a later config failing
+    // where it succeeded is recorded, not fatal.
     ConfigOutcome co;
-    co.config = StrCat("threads", threads);
-    auto result = contain(threads, options.cache, nullptr);
-    if (!result.ok()) {
-      // The first config vets the program itself; a later config failing
-      // where the first succeeded is recorded, not fatal.
-      if (first_config) return result.status();
-      co.detail = StrCat("error: ", result.status().message());
-    } else {
-      co.outcome = result->outcome;
-      co.detail = result->detail;
-    }
-    if (first_config) eval_witness(options.cache, &co);
-    first_config = false;
+    co.config = "cached";
+    OMQC_ASSIGN_OR_RETURN(ContainmentResult result,
+                          contain(options.cache, nullptr));
+    co.outcome = result.outcome;
+    co.detail = result.detail;
+    eval_witness(options.cache, &co);
     finish(std::move(co));
   }
 
   if (options.with_cache_off) {
     ConfigOutcome co;
     co.config = "nocache";
-    auto result = contain(1, nullptr, nullptr);
+    auto result = contain(nullptr, nullptr);
     if (!result.ok()) {
       co.detail = StrCat("error: ", result.status().message());
     } else {
@@ -135,7 +124,7 @@ Result<SoakVerdict> RunDifferential(const Program& program,
     // decode bug shows up here as a verdict disagreement.
     ConfigOutcome co;
     co.config = "persist";
-    auto result = contain(1, options.persist_cache, nullptr);
+    auto result = contain(options.persist_cache, nullptr);
     if (!result.ok()) {
       co.detail = StrCat("error: ", result.status().message());
     } else {
@@ -165,7 +154,7 @@ Result<SoakVerdict> RunDifferential(const Program& program,
     if (options.cache != nullptr) {
       options.cache->set_fault_injector(&injector);
     }
-    auto first = contain(2, options.cache, &governor);
+    auto first = contain(options.cache, &governor);
     if (options.cache != nullptr) {
       options.cache->set_fault_injector(nullptr);
     }
@@ -174,7 +163,7 @@ Result<SoakVerdict> RunDifferential(const Program& program,
       co.detail = first->detail;
     } else {
       co.governed_retry = true;
-      auto retry = contain(1, options.cache, nullptr);
+      auto retry = contain(options.cache, nullptr);
       if (!retry.ok()) {
         co.detail = StrCat("error: ", retry.status().message());
       } else {

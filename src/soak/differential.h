@@ -1,7 +1,7 @@
 // Differential execution of one scenario across every engine
 // configuration that claims identical verdicts.
 //
-// Configurations: containment at threads 1/2/8 over the shared cache,
+// Configurations: containment over the shared cache (`cached`),
 // cache-off, governed-with-random-budgets (deadline/memory budgets and a
 // seeded FaultPlan; a trip or budget-starved kUnknown is retried
 // ungoverned, and the retry must reproduce the definite verdict), a
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "cache/artifact_store.h"
-#include "chase/chase.h"
 #include "core/containment.h"
 #include "server/client.h"
 #include "soak/scenario.h"
@@ -43,19 +42,16 @@ struct DifferentialOptions {
   /// superlinear in this budget (400 is already ~a minute on the worst
   /// factory scenarios).
   size_t rewrite_max_queries = 120;
-  /// Thread counts to run containment at (each is one config).
-  std::vector<size_t> thread_counts = {1, 2, 8};
-  /// Also run a cache-off config (cache-on configs use `cache`).
+  /// Also run a cache-off config (the other local configs use `cache`).
   bool with_cache_off = true;
-  /// Shared compilation cache for the cached configs (null = all configs
-  /// effectively uncached).
+  /// Shared compilation cache for the `cached` and governed configs (null
+  /// = all configs effectively uncached).
   ArtifactStore* cache = nullptr;
-  /// Persistent-cache config when non-null (not owned): containment at 1
-  /// thread over a TieredStore, typically warm-reloaded between scenario
-  /// batches by the caller. Artifacts decoded from disk segments must
+  /// Persistent-cache config when non-null (not owned): containment over
+  /// a TieredStore, typically warm-reloaded between scenario batches by
+  /// the caller. Artifacts decoded from disk segments must
   /// yield the same verdict as freshly compiled ones.
   ArtifactStore* persist_cache = nullptr;
-  ChaseStrategy chase = ChaseStrategy::kSemiNaive;
   /// Run the governed config: random deadline/memory budgets plus a
   /// RandomFaultPlan drawn from this seed stream. 0 disables it.
   uint64_t fault_seed = 0;

@@ -5,8 +5,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "base/governor.h"
 #include "base/hash_util.h"
@@ -188,37 +188,6 @@ TEST(ThreadPoolTest, DefaultConcurrencyIsAtLeastOne) {
   EXPECT_GE(ThreadPool::DefaultConcurrency(), 1u);
 }
 
-TEST(ThreadPoolTest, StopAbandonsQueuedTasksDeterministically) {
-  ThreadPool pool(1);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  std::atomic<int> ran{0};
-  // Block the single worker so the remaining submissions stay queued.
-  pool.Submit([&] {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-    ++ran;
-  });
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&ran] { ++ran; });
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  size_t abandoned = pool.Stop();
-  pool.Wait();  // must not hang on abandoned tasks
-  // The blocked task ran (it had started); of the 10 queued tasks, the
-  // abandoned ones never run — ran + abandoned accounts for all of them.
-  EXPECT_EQ(static_cast<size_t>(ran.load()) + abandoned, 11u);
-  // After Stop(), Submit is a no-op: the count stays put.
-  pool.Submit([&ran] { ++ran; });
-  pool.Wait();
-  EXPECT_EQ(static_cast<size_t>(ran.load()) + abandoned, 11u);
-}
-
 TEST(ThreadPoolTest, WaitReturnsWhenTasksExitEarlyViaToken) {
   // A task observing a cancellation token and returning early counts as
   // finished: Wait() must return promptly rather than require the task's
@@ -238,25 +207,6 @@ TEST(ThreadPoolTest, WaitReturnsWhenTasksExitEarlyViaToken) {
   }
   pool.Wait();
   EXPECT_EQ(early_exits.load(), 50);
-}
-
-void CountingTaskHook(void* ctx, size_t worker_index) {
-  auto* seen = static_cast<std::atomic<size_t>*>(ctx);
-  seen->fetch_add(worker_index + 1, std::memory_order_relaxed);
-}
-
-TEST(ThreadPoolTest, TaskHookSeesEveryTask) {
-  std::atomic<size_t> seen{0};
-  ThreadPool::SetTaskHookForTesting(&CountingTaskHook, &seen);
-  {
-    ThreadPool pool(1);  // single worker: every task reports index 0 (+1)
-    for (int i = 0; i < 7; ++i) {
-      pool.Submit([] {});
-    }
-    pool.Wait();
-  }
-  ThreadPool::SetTaskHookForTesting(nullptr, nullptr);
-  EXPECT_EQ(seen.load(), 7u);
 }
 
 TEST(PrettifyTest, RenamesMachineConstantsOnly) {

@@ -1,8 +1,7 @@
 // Cache-on vs cache-off equivalence: evaluation answers and containment
-// outcomes must be identical with and without a shared OmqCache, across
-// serial and parallel engines (thread counts 1/2/8), including warm
-// re-runs and queries renamed between calls. Also asserts the cache is
-// actually exercised (warm runs hit).
+// outcomes must be identical with and without a shared OmqCache,
+// including warm re-runs and queries renamed between calls. Also asserts
+// the cache is actually exercised (warm runs hit).
 
 #include <gtest/gtest.h>
 
@@ -62,41 +61,33 @@ std::vector<std::vector<Term>> Sorted(std::vector<std::vector<Term>> rows) {
   return rows;
 }
 
-/// Param: worker threads for the containment engine.
-class CacheIntegrationTest : public ::testing::TestWithParam<size_t> {
- protected:
-  /// Checks q1 ⊆ q2 without a cache, then repeatedly with a shared cache
-  /// (cold, warm, renamed), asserting every run agrees with the uncached
-  /// outcome. Returns the warm cached result.
-  ContainmentResult CheckAllModes(const Omq& q1, const Omq& q2,
-                                  OmqCache* cache) {
-    ContainmentOptions options;
-    options.num_threads = GetParam();
-    auto uncached = CheckContainment(q1, q2, options);
-    EXPECT_TRUE(uncached.ok()) << uncached.status().ToString();
-    options.cache = cache;
-    auto cold = CheckContainment(q1, q2, options);
-    EXPECT_TRUE(cold.ok()) << cold.status().ToString();
-    EXPECT_EQ(cold->outcome, uncached->outcome) << "cold cached run differs";
-    auto warm = CheckContainment(q1, q2, options);
-    EXPECT_TRUE(warm.ok()) << warm.status().ToString();
-    EXPECT_EQ(warm->outcome, uncached->outcome) << "warm cached run differs";
-    // A query renamed apart is the same OMQ; it must reuse the entries.
-    auto renamed = CheckContainment(RenamedQuery(q1, "LC_"),
-                                    RenamedQuery(q2, "RC_"), options);
-    EXPECT_TRUE(renamed.ok()) << renamed.status().ToString();
-    EXPECT_EQ(renamed->outcome, uncached->outcome)
-        << "renamed cached run differs";
-    EXPECT_GT(renamed->stats.cache.hits, 0u)
-        << "renamed run failed to hit the cache";
-    return *warm;
-  }
-};
+/// Checks q1 ⊆ q2 without a cache, then repeatedly with a shared cache
+/// (cold, warm, renamed), asserting every run agrees with the uncached
+/// outcome. Returns the warm cached result.
+ContainmentResult CheckAllModes(const Omq& q1, const Omq& q2,
+                                OmqCache* cache) {
+  ContainmentOptions options;
+  auto uncached = CheckContainment(q1, q2, options);
+  EXPECT_TRUE(uncached.ok()) << uncached.status().ToString();
+  options.cache = cache;
+  auto cold = CheckContainment(q1, q2, options);
+  EXPECT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(cold->outcome, uncached->outcome) << "cold cached run differs";
+  auto warm = CheckContainment(q1, q2, options);
+  EXPECT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(warm->outcome, uncached->outcome) << "warm cached run differs";
+  // A query renamed apart is the same OMQ; it must reuse the entries.
+  auto renamed = CheckContainment(RenamedQuery(q1, "LC_"),
+                                  RenamedQuery(q2, "RC_"), options);
+  EXPECT_TRUE(renamed.ok()) << renamed.status().ToString();
+  EXPECT_EQ(renamed->outcome, uncached->outcome)
+      << "renamed cached run differs";
+  EXPECT_GT(renamed->stats.cache.hits, 0u)
+      << "renamed run failed to hit the cache";
+  return *warm;
+}
 
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, CacheIntegrationTest,
-                         ::testing::Values(size_t{1}, size_t{2}, size_t{8}));
-
-TEST_P(CacheIntegrationTest, ContainmentOutcomesMatchAcrossModes) {
+TEST(CacheIntegrationTest, ContainmentOutcomesMatchAcrossModes) {
   OmqCache cache;
   const char kSigma[] =
       "Edge(X,Y) -> Conn(X,Y). Conn(X,Y), Conn(Y,Z) -> Reach(X,Z).";
@@ -114,7 +105,7 @@ TEST_P(CacheIntegrationTest, ContainmentOutcomesMatchAcrossModes) {
   EXPECT_GT(cache.Stats().counters.hits, 0u);
 }
 
-TEST_P(CacheIntegrationTest, RecursiveLinearRhsUsesCachedRewriting) {
+TEST(CacheIntegrationTest, RecursiveLinearRhsUsesCachedRewriting) {
   // Genuinely recursive linear RHS: the evaluator precomputes a rewriting,
   // which the cache shares across the repeated and renamed runs.
   OmqCache cache;
@@ -127,7 +118,7 @@ TEST_P(CacheIntegrationTest, RecursiveLinearRhsUsesCachedRewriting) {
   EXPECT_GT(warm.stats.cache.hits, 0u);
 }
 
-TEST_P(CacheIntegrationTest, RandomSweepAgreesOnEveryPair) {
+TEST(CacheIntegrationTest, RandomSweepAgreesOnEveryPair) {
   OmqCache cache;
   std::vector<Omq> omqs;
   for (uint32_t seed = 0; seed < 4; ++seed) {
@@ -139,7 +130,6 @@ TEST_P(CacheIntegrationTest, RandomSweepAgreesOnEveryPair) {
     omqs.push_back(MakeRandomOmq(config));
   }
   ContainmentOptions options;
-  options.num_threads = GetParam();
   for (const Omq& q1 : omqs) {
     for (const Omq& q2 : omqs) {
       if (q1.data_schema.size() != q2.data_schema.size()) continue;

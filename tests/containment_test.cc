@@ -229,6 +229,62 @@ TEST(ContainmentTest, ContainmentInPlainUcq) {
   EXPECT_EQ(refuted->outcome, ContainmentOutcome::kNotContained);
 }
 
+// ---------- Multi-disjunct enumeration. ----------
+
+/// A chain CQ Q(X0) :- pred(X0,X1), ..., pred(X_{len-1},X_len).
+std::string Chain(const std::string& pred, int len) {
+  std::string text = "Q(X0) :- ";
+  for (int i = 0; i < len; ++i) {
+    if (i > 0) text += ", ";
+    text += pred + "(X" + std::to_string(i) + ",X" + std::to_string(i + 1) +
+            ")";
+  }
+  return text;
+}
+
+TEST(ContainmentTest, LinearChainChecksEveryDisjunct) {
+  // Every Conn atom rewrites to Edge or stays: 2^4 disjuncts, each an
+  // independent RHS check that must fail to refute.
+  const char kSigma[] = "Edge(X,Y) -> Conn(X,Y).";
+  Schema schema = S({{"Edge", 2}, {"Conn", 2}});
+  Omq q1 = MakeOmq(schema, kSigma, Chain("Conn", 4));
+  Omq q2 = MakeOmq(schema, kSigma, Chain("Conn", 4));
+  auto result = CheckContainment(q1, q2);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->outcome, ContainmentOutcome::kContained);
+  EXPECT_GT(result->candidates_checked, 1u);
+  EXPECT_EQ(result->stats.disjuncts_checked, result->candidates_checked);
+  EXPECT_EQ(result->stats.witnesses_rejected, result->candidates_checked);
+  EXPECT_GE(result->stats.hom.searches, result->candidates_checked);
+  EXPECT_GT(result->stats.rewrite.queries_generated, 0u);
+}
+
+TEST(ContainmentTest, FirstRefutingDisjunctStopsTheEnumeration) {
+  // The rewriting of P(x) is {P(x), T(x), U(x)}; its first disjunct P(x)
+  // already refutes containment in T(x), so no further candidate is
+  // checked and the witness is that disjunct's frozen body.
+  const char kSigma[] = "T(X) -> P(X). U(X) -> P(X).";
+  Schema schema = S({{"P", 1}, {"T", 1}, {"U", 1}});
+  Omq q1 = MakeOmq(schema, kSigma, "Q(X) :- P(X)");
+  Omq q2 = MakeOmq(schema, kSigma, "Q(X) :- T(X)");
+  auto result = CheckContainment(q1, q2);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->outcome, ContainmentOutcome::kNotContained);
+  EXPECT_EQ(result->candidates_checked, 1u);
+  ASSERT_TRUE(result->witness.has_value());
+  ASSERT_EQ(result->witness->database.size(), 1u);
+  EXPECT_TRUE(result->witness->database.InducedSchema().Contains(
+      Predicate::Get("P", 1)));
+
+  // Same inputs, same counterexample up to the fresh names freezing
+  // invents: the witness never depends on timing.
+  auto again = CheckContainment(q1, q2);
+  ASSERT_TRUE(again.ok());
+  ASSERT_TRUE(again->witness.has_value());
+  EXPECT_EQ(PrettifiedCopy(again->witness->database).ToString(),
+            PrettifiedCopy(result->witness->database).ToString());
+}
+
 // ---------- Input validation. ----------
 
 TEST(ContainmentTest, RejectsMismatchedSchemas) {

@@ -1,10 +1,9 @@
-// Randomized cross-engine agreement: the antichain engine (serial and
-// parallel, threads 1/2/8) must return the exact verdict of the reference
-// subset-construction oracle (automata/downward.h) on every seed — both
-// on random downward 2WAPAs and on the Prop. 25 automata composed from
-// the ΓS,l alphabets of seeded guarded OMQs. This suite also runs in the
-// ASan/TSan jobs (with the build's default engine pinned to the
-// reference, each engine is still selected explicitly here).
+// Randomized cross-engine agreement: the antichain engine
+// (DownwardEmptiness) must return the exact verdict of the reference
+// subset-construction oracle (DownwardIsEmpty, automata/downward.h) on
+// every seed — both on random downward 2WAPAs and on the Prop. 25
+// automata composed from the ΓS,l alphabets of seeded guarded OMQs. Each
+// engine is called by name, so the sanitizer jobs run both.
 
 #include <gtest/gtest.h>
 
@@ -63,37 +62,26 @@ Twapa RandomDownwardTwapa(uint32_t seed) {
   return a;
 }
 
-class EmptinessAgreementTest : public ::testing::TestWithParam<size_t> {};
-
-INSTANTIATE_TEST_SUITE_P(Threads, EmptinessAgreementTest,
-                         ::testing::Values(size_t{1}, size_t{2}, size_t{8}));
-
-void ExpectAgreement(const Twapa& automaton, size_t num_threads,
-                     size_t max_states, const std::string& context) {
-  EmptinessOptions reference;
-  reference.engine = EmptinessEngine::kReference;
-  reference.max_states = max_states;
-  reference.max_branching = 64;
-  auto oracle = DownwardEmptiness(automaton, reference);
+void ExpectAgreement(const Twapa& automaton, size_t max_states,
+                     const std::string& context) {
+  DownwardOptions options;
+  options.max_states = max_states;
+  options.max_branching = 64;
+  auto oracle = DownwardIsEmpty(automaton, options);
   ASSERT_TRUE(oracle.ok()) << context << ": " << oracle.status().ToString();
-
-  EmptinessOptions antichain = reference;
-  antichain.engine = EmptinessEngine::kAntichain;
-  antichain.num_threads = num_threads;
-  auto fast = DownwardEmptiness(automaton, antichain);
+  auto fast = DownwardEmptiness(automaton, options);
   ASSERT_TRUE(fast.ok()) << context << ": " << fast.status().ToString();
-  EXPECT_EQ(*fast, *oracle) << context << ": verdicts diverge (threads="
-                            << num_threads << ")";
+  EXPECT_EQ(*fast, *oracle) << context << ": verdicts diverge";
 }
 
-TEST_P(EmptinessAgreementTest, RandomDownwardAutomata) {
+TEST(EmptinessAgreementTest, RandomDownwardAutomata) {
   for (uint32_t seed = 0; seed < 80; ++seed) {
-    ExpectAgreement(RandomDownwardTwapa(seed), GetParam(), 100000,
+    ExpectAgreement(RandomDownwardTwapa(seed), 100000,
                     "random twapa seed=" + std::to_string(seed));
   }
 }
 
-TEST_P(EmptinessAgreementTest, SeededGuardedOmqGammaAutomata) {
+TEST(EmptinessAgreementTest, SeededGuardedOmqGammaAutomata) {
   for (uint32_t seed = 0; seed < 10; ++seed) {
     RandomOmqConfig config;
     config.target = TgdClass::kGuarded;
@@ -115,7 +103,7 @@ TEST_P(EmptinessAgreementTest, SeededGuardedOmqGammaAutomata) {
       auto automaton =
           Intersect(consistency, AtomPresenceAutomaton(*alphabet, pred));
       ASSERT_TRUE(automaton.ok()) << automaton.status().ToString();
-      ExpectAgreement(*automaton, GetParam(), 20000,
+      ExpectAgreement(*automaton, 20000,
                       "guarded omq seed=" + std::to_string(seed) +
                           " pred=" + pred.ToString());
     }

@@ -59,29 +59,18 @@ Twapa Chain(int length) {
   return a;
 }
 
-EmptinessOptions Antichain(size_t num_threads = 1) {
-  EmptinessOptions options;
-  options.engine = EmptinessEngine::kAntichain;
-  options.num_threads = num_threads;
-  return options;
-}
-
 TEST(EmptinessTest, NonEmptyReachability) {
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    auto empty = DownwardEmptiness(Reach1(2), Antichain(threads));
-    ASSERT_TRUE(empty.ok()) << empty.status().ToString();
-    EXPECT_FALSE(*empty) << "threads=" << threads;
-  }
+  auto empty = DownwardEmptiness(Reach1(2));
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_FALSE(*empty);
 }
 
 TEST(EmptinessTest, UnsatisfiableIntersectionIsEmpty) {
   // "some node has label 1" ∧ "every node has label 0" is contradictory.
   auto both = Intersect(Reach1(2), All0(2)).value();
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    auto empty = DownwardEmptiness(both, Antichain(threads));
-    ASSERT_TRUE(empty.ok()) << empty.status().ToString();
-    EXPECT_TRUE(*empty) << "threads=" << threads;
-  }
+  auto empty = DownwardEmptiness(both);
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_TRUE(*empty);
 }
 
 TEST(EmptinessTest, SatisfiableIntersection) {
@@ -93,7 +82,7 @@ TEST(EmptinessTest, SatisfiableIntersection) {
     return label == 1 ? Formula::True() : Formula::False();
   };
   auto both = Intersect(Reach1(2), root1).value();
-  EXPECT_FALSE(DownwardEmptiness(both, Antichain()).value());
+  EXPECT_FALSE(DownwardEmptiness(both).value());
 }
 
 TEST(EmptinessTest, RejectsTwoWayAutomata) {
@@ -102,28 +91,20 @@ TEST(EmptinessTest, RejectsTwoWayAutomata) {
   two_way.num_labels = 1;
   two_way.initial_state = 0;
   two_way.delta = [](int, int) { return Diamond(Move::kUp, 0); };
-  auto result = DownwardEmptiness(two_way, Antichain());
+  auto result = DownwardEmptiness(two_way);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnsupported);
 }
 
 TEST(EmptinessTest, RejectsSafetyMode) {
   Twapa safety = Complement(Reach1(2));
-  auto result = DownwardEmptiness(safety, Antichain());
+  auto result = DownwardEmptiness(safety);
   EXPECT_FALSE(result.ok());
-}
-
-TEST(EmptinessTest, ReferenceEngineDispatch) {
-  EmptinessOptions options;
-  options.engine = EmptinessEngine::kReference;
-  EXPECT_FALSE(DownwardEmptiness(Reach1(2), options).value());
-  auto both = Intersect(Reach1(2), All0(2)).value();
-  EXPECT_TRUE(DownwardEmptiness(both, options).value());
 }
 
 TEST(EmptinessTest, SubsumedSetsAreNeverExpanded) {
   // δ(0) = (⟨*⟩1 ∧ [*]2) ∨ ⟨*⟩2 spawns the incomparable children {1,2}
-  // and {2}; states 1 and 2 accept outright. The serial engine proves
+  // and {2}; states 1 and 2 accept outright. The engine proves
   // {1,2} productive first (leaf) and must then resolve {2} ⊆ {1,2} by
   // antichain subsumption without expanding it.
   Twapa a;
@@ -138,9 +119,7 @@ TEST(EmptinessTest, SubsumedSetsAreNeverExpanded) {
         Diamond(Move::kChild, 2));
   };
   EmptinessStats stats;
-  EmptinessOptions options = Antichain();
-  options.stats = &stats;
-  auto empty = DownwardEmptiness(a, options);
+  auto empty = DownwardEmptiness(a, DownwardOptions(), &stats);
   ASSERT_TRUE(empty.ok()) << empty.status().ToString();
   EXPECT_FALSE(*empty);
   EXPECT_EQ(stats.states_explored, 2u) << "{0} and {1,2} only";
@@ -151,24 +130,16 @@ TEST(EmptinessTest, SubsumedSetsAreNeverExpanded) {
 TEST(EmptinessTest, StatsAreRecorded) {
   auto both = Intersect(Reach1(2), All0(2)).value();
   EmptinessStats stats;
-  EmptinessOptions options = Antichain();
-  options.stats = &stats;
-  ASSERT_TRUE(DownwardEmptiness(both, options).value());
+  ASSERT_TRUE(DownwardEmptiness(both, DownwardOptions(), &stats).value());
   EXPECT_GT(stats.states_explored, 0u);
   EXPECT_GE(stats.emptiness_rounds, 1u);
   EXPECT_GT(stats.dnf_cache_misses, 0u);
   // An empty language has no productive sets at all.
   EXPECT_EQ(stats.antichain_size, 0u);
-
-  EmptinessStats merged;
-  merged.Merge(stats);
-  merged.Merge(stats);
-  EXPECT_EQ(merged.states_explored, 2 * stats.states_explored);
-  EXPECT_EQ(merged.antichain_size, stats.antichain_size) << "max, not sum";
 }
 
 TEST(EmptinessTest, MaxStatesBudget) {
-  EmptinessOptions options = Antichain();
+  DownwardOptions options;
   options.max_states = 3;
   auto result = DownwardEmptiness(Chain(10), options);
   ASSERT_FALSE(result.ok());
@@ -176,17 +147,15 @@ TEST(EmptinessTest, MaxStatesBudget) {
 }
 
 TEST(EmptinessTest, ExpiredGovernorDeadlineTrips) {
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    ResourceGovernor governor;
-    governor.set_deadline_after(std::chrono::nanoseconds(0));
-    EmptinessOptions options = Antichain(threads);
-    options.governor = &governor;
-    auto result = DownwardEmptiness(Chain(200), options);
-    // The engine probes per expanded set, so a 200-set chain cannot finish
-    // before the clock stride samples the expired deadline.
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  }
+  ResourceGovernor governor;
+  governor.set_deadline_after(std::chrono::nanoseconds(0));
+  DownwardOptions options;
+  options.governor = &governor;
+  auto result = DownwardEmptiness(Chain(200), options);
+  // The engine probes per expanded set, so a 200-set chain cannot finish
+  // before the clock stride samples the expired deadline.
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 // ---- Prop. 25 composition over an explicit ΓS,l alphabet. ----
@@ -203,26 +172,19 @@ TEST(EmptinessTest, Prop25EmptinessOnGammaAlphabet) {
       AtomPresenceAutomaton(alphabet, Predicate::Get("missing", 1));
   auto c_and_missing = Intersect(consistency, has_missing).value();
 
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    EmptinessStats stats;
-    EmptinessOptions options = Antichain(threads);
-    options.max_states = 20000;
-    options.stats = &stats;
-    auto nonempty = DownwardEmptiness(c_and_r, options);
-    ASSERT_TRUE(nonempty.ok()) << nonempty.status().ToString();
-    EXPECT_FALSE(*nonempty) << "threads=" << threads;
+  EmptinessStats stats;
+  DownwardOptions options;
+  options.max_states = 20000;
+  auto nonempty = DownwardEmptiness(c_and_r, options, &stats);
+  ASSERT_TRUE(nonempty.ok()) << nonempty.status().ToString();
+  EXPECT_FALSE(*nonempty);
 
-    auto is_empty = DownwardEmptiness(c_and_missing, options);
-    ASSERT_TRUE(is_empty.ok()) << is_empty.status().ToString();
-    EXPECT_TRUE(*is_empty) << "threads=" << threads;
-    // The empty case explores to the fixpoint; obligation sets share
-    // states, so the per-(state,label) memo must see reuse there. Only
-    // asserted serially: parallel workers keep private memos, and a
-    // worker's own chunk need not repeat a (state,label) pair.
-    if (threads == 1) {
-      EXPECT_GT(stats.dnf_cache_hits, 0u);
-    }
-  }
+  auto is_empty = DownwardEmptiness(c_and_missing, options, &stats);
+  ASSERT_TRUE(is_empty.ok()) << is_empty.status().ToString();
+  EXPECT_TRUE(*is_empty);
+  // The empty case explores to the fixpoint; obligation sets share
+  // states, so the per-(state,label) memo must see reuse there.
+  EXPECT_GT(stats.dnf_cache_hits, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The chaos suite: every public entry point (Chase, XRewrite, Eval,
-// CheckUcqOmqContainment) is driven under deterministic injected faults —
-// deadline trips, cancellations, memory exhaustion, dropped cache inserts
-// and stalled pool workers — across thread counts 1/2/8. The invariants:
+// CheckUcqOmqContainment, antichain emptiness) is driven under
+// deterministic injected faults — deadline trips, cancellations, memory
+// exhaustion and dropped cache inserts — plus a live cancellation from
+// another thread. The invariants:
 //
 //   1. Never crash, never hang (the workloads are small; ctest enforces a
 //      timeout as backstop).
@@ -25,7 +26,6 @@
 #include "automata/emptiness.h"
 #include "base/fault_injection.h"
 #include "base/governor.h"
-#include "base/thread_pool.h"
 #include "cache/omq_cache.h"
 #include "chase/chase.h"
 #include "core/containment.h"
@@ -237,9 +237,8 @@ TEST(FaultInjectionTest, EvalReturnsExactAnswersOrTripStatus) {
 }
 
 // ---------------------------------------------------------------------------
-// Containment chaos across thread counts: the full engine, all fault
-// kinds, 1/2/8 workers. The verdict-consistency invariant is the heart of
-// the suite.
+// Containment chaos: the full engine under every fault kind. The
+// verdict-consistency invariant is the heart of the suite.
 // ---------------------------------------------------------------------------
 
 struct ContainmentWorkload {
@@ -289,18 +288,11 @@ void ExpectSoundUnderFault(const ContainmentWorkload& workload,
       << "): wrong definite verdict";
 }
 
-class ContainmentChaosTest : public ::testing::TestWithParam<size_t> {};
-
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, ContainmentChaosTest,
-                         ::testing::Values(size_t{1}, size_t{2}, size_t{8}));
-
-TEST_P(ContainmentChaosTest, GovernorFaultsNeverFlipTheVerdict) {
+TEST(ContainmentChaosTest, GovernorFaultsNeverFlipTheVerdict) {
   for (const ContainmentWorkload& workload : Workloads()) {
     // Sanity: the unfaulted run has the expected definite verdict.
     {
-      ContainmentOptions options;
-      options.num_threads = GetParam();
-      auto clean = CheckUcqOmqContainment(workload.q1, workload.q2, options);
+      auto clean = CheckUcqOmqContainment(workload.q1, workload.q2);
       ASSERT_TRUE(clean.ok()) << clean.status().ToString();
       ASSERT_EQ(clean->outcome, workload.expected) << workload.name;
     }
@@ -316,21 +308,19 @@ TEST_P(ContainmentChaosTest, GovernorFaultsNeverFlipTheVerdict) {
         ResourceGovernor governor;
         governor.set_fault_injector(&injector);
         ContainmentOptions options;
-        options.num_threads = GetParam();
         options.governor = &governor;
         auto result =
             CheckUcqOmqContainment(workload.q1, workload.q2, options);
         ExpectSoundUnderFault(
             workload, result, injector,
-            std::string(workload.name) + " threads=" +
-                std::to_string(GetParam()) + " code=" +
+            std::string(workload.name) + " code=" +
                 StatusCodeToString(injected) + " at=" + std::to_string(at));
       }
     }
   }
 }
 
-TEST_P(ContainmentChaosTest, MemoryFaultsNeverFlipTheVerdict) {
+TEST(ContainmentChaosTest, MemoryFaultsNeverFlipTheVerdict) {
   for (const ContainmentWorkload& workload : Workloads()) {
     for (uint64_t at : {uint64_t{1}, uint64_t{2}, uint64_t{5}}) {
       FaultPlan plan;
@@ -339,7 +329,6 @@ TEST_P(ContainmentChaosTest, MemoryFaultsNeverFlipTheVerdict) {
       ResourceGovernor governor;
       governor.set_fault_injector(&injector);
       ContainmentOptions options;
-      options.num_threads = GetParam();
       options.governor = &governor;
       auto result =
           CheckUcqOmqContainment(workload.q1, workload.q2, options);
@@ -350,7 +339,7 @@ TEST_P(ContainmentChaosTest, MemoryFaultsNeverFlipTheVerdict) {
   }
 }
 
-TEST_P(ContainmentChaosTest, DroppedCacheInsertsAreInvisible) {
+TEST(ContainmentChaosTest, DroppedCacheInsertsAreInvisible) {
   OmqCache cache;
   for (uint64_t at : {uint64_t{1}, uint64_t{2}, uint64_t{3}}) {
     FaultPlan plan;
@@ -359,7 +348,6 @@ TEST_P(ContainmentChaosTest, DroppedCacheInsertsAreInvisible) {
     cache.set_fault_injector(&injector);
     for (const ContainmentWorkload& workload : Workloads()) {
       ContainmentOptions options;
-      options.num_threads = GetParam();
       options.cache = &cache;
       auto result =
           CheckUcqOmqContainment(workload.q1, workload.q2, options);
@@ -371,28 +359,7 @@ TEST_P(ContainmentChaosTest, DroppedCacheInsertsAreInvisible) {
   }
 }
 
-void StallHook(void* ctx, size_t worker_index) {
-  static_cast<FaultInjector*>(ctx)->OnWorkerTask(worker_index);
-}
-
-TEST_P(ContainmentChaosTest, StalledWorkerChangesNothingButLatency) {
-  if (GetParam() == 1) return;  // serial path has no pool workers
-  FaultPlan plan;
-  plan.stall_worker = 0;
-  plan.stall_millis = 5;
-  FaultInjector injector(plan);
-  ThreadPool::SetTaskHookForTesting(&StallHook, &injector);
-  for (const ContainmentWorkload& workload : Workloads()) {
-    ContainmentOptions options;
-    options.num_threads = GetParam();
-    auto result = CheckUcqOmqContainment(workload.q1, workload.q2, options);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(result->outcome, workload.expected) << workload.name;
-  }
-  ThreadPool::SetTaskHookForTesting(nullptr, nullptr);
-}
-
-TEST_P(ContainmentChaosTest, RealCancellationFromAnotherThread) {
+TEST(ContainmentChaosTest, RealCancellationFromAnotherThread) {
   // Not an injected fault: a live CancellationToken flipped mid-run from
   // outside, racing the engine. The run must come back well-formed with a
   // sound verdict no matter where the cancellation lands.
@@ -406,7 +373,6 @@ TEST_P(ContainmentChaosTest, RealCancellationFromAnotherThread) {
       }
     });
     ContainmentOptions options;
-    options.num_threads = GetParam();
     options.governor = &governor;
     auto result = CheckUcqOmqContainment(workload.q1, workload.q2, options);
     done.store(true, std::memory_order_release);
@@ -420,9 +386,8 @@ TEST_P(ContainmentChaosTest, RealCancellationFromAnotherThread) {
 // ---------------------------------------------------------------------------
 // Antichain emptiness chaos: the automata engine's governor probe sites
 // (per expanded obligation set, the per-label stride inside ExpandSet,
-// per propagation round, and the arena byte charges) across thread
-// counts. Invariant: a governor code or the true verdict — a fault must
-// never flip emptiness.
+// per propagation round, and the arena byte charges). Invariant: a
+// governor code or the true verdict — a fault must never flip emptiness.
 // ---------------------------------------------------------------------------
 
 struct EmptinessWorkload {
@@ -463,18 +428,10 @@ std::vector<EmptinessWorkload> EmptinessWorkloads() {
           {"contradiction_empty", Intersect(reach1, all0).value(), true}};
 }
 
-class EmptinessChaosTest : public ::testing::TestWithParam<size_t> {};
-
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, EmptinessChaosTest,
-                         ::testing::Values(size_t{1}, size_t{2}, size_t{8}));
-
-TEST_P(EmptinessChaosTest, GovernorFaultsNeverFlipTheVerdict) {
+TEST(EmptinessChaosTest, GovernorFaultsNeverFlipTheVerdict) {
   for (const EmptinessWorkload& workload : EmptinessWorkloads()) {
     {
-      EmptinessOptions options;
-      options.engine = EmptinessEngine::kAntichain;
-      options.num_threads = GetParam();
-      auto clean = DownwardEmptiness(workload.automaton, options);
+      auto clean = DownwardEmptiness(workload.automaton);
       ASSERT_TRUE(clean.ok()) << clean.status().ToString();
       ASSERT_EQ(*clean, workload.expected_empty) << workload.name;
     }
@@ -489,14 +446,11 @@ TEST_P(EmptinessChaosTest, GovernorFaultsNeverFlipTheVerdict) {
         FaultInjector injector(plan);
         ResourceGovernor governor;
         governor.set_fault_injector(&injector);
-        EmptinessOptions options;
-        options.engine = EmptinessEngine::kAntichain;
-        options.num_threads = GetParam();
+        DownwardOptions options;
         options.governor = &governor;
         auto result = DownwardEmptiness(workload.automaton, options);
         const std::string context =
-            std::string(workload.name) + " threads=" +
-            std::to_string(GetParam()) + " code=" +
+            std::string(workload.name) + " code=" +
             StatusCodeToString(injected) + " at=" + std::to_string(at);
         if (result.ok()) {
           EXPECT_EQ(*result, workload.expected_empty)
@@ -512,7 +466,7 @@ TEST_P(EmptinessChaosTest, GovernorFaultsNeverFlipTheVerdict) {
   }
 }
 
-TEST_P(EmptinessChaosTest, MemoryFaultsSurfaceAsResourceExhausted) {
+TEST(EmptinessChaosTest, MemoryFaultsSurfaceAsResourceExhausted) {
   for (const EmptinessWorkload& workload : EmptinessWorkloads()) {
     for (uint64_t at : {uint64_t{1}, uint64_t{2}, uint64_t{5}}) {
       FaultPlan plan;
@@ -520,9 +474,7 @@ TEST_P(EmptinessChaosTest, MemoryFaultsSurfaceAsResourceExhausted) {
       FaultInjector injector(plan);
       ResourceGovernor governor;
       governor.set_fault_injector(&injector);
-      EmptinessOptions options;
-      options.engine = EmptinessEngine::kAntichain;
-      options.num_threads = GetParam();
+      DownwardOptions options;
       options.governor = &governor;
       auto result = DownwardEmptiness(workload.automaton, options);
       const std::string context = std::string(workload.name) +
@@ -538,14 +490,13 @@ TEST_P(EmptinessChaosTest, MemoryFaultsSurfaceAsResourceExhausted) {
   }
 }
 
-TEST_P(ContainmentChaosTest, ExpiredDeadlineYieldsGovernedUnknown) {
+TEST(ContainmentChaosTest, ExpiredDeadlineYieldsGovernedUnknown) {
   // A real (non-injected) deadline already in the past: the engine must
   // degrade to kUnknown (or a trip error from RHS setup) and say why.
   ContainmentWorkload workload = Workloads()[0];  // the contained pair
   ResourceGovernor governor;
   governor.set_deadline_after(std::chrono::nanoseconds(0));
   ContainmentOptions options;
-  options.num_threads = GetParam();
   options.governor = &governor;
   auto result = CheckUcqOmqContainment(workload.q1, workload.q2, options);
   if (!result.ok()) {

@@ -111,7 +111,6 @@ TEST(DifferentialTest, CleanCorpusHasNoDiscrepancies) {
   for (uint64_t i = 0; i < 10; ++i) {
     Scenario s = MakeScenario(SpecForIndex(33, i));
     DifferentialOptions options;
-    options.thread_counts = {1, 2};
     options.cache = &cache;
     options.fault_seed = 1000 + i;
     auto verdict = RunDifferential(s, options);
@@ -128,12 +127,11 @@ TEST(DifferentialTest, PlantedFlipIsCaught) {
   spec.contained = true;
   Scenario s = MakeScenario(spec);
   DifferentialOptions options;
-  options.thread_counts = {1, 2};
-  options.flip_config = "threads1";
+  options.flip_config = "cached";
   auto verdict = RunDifferential(s, options);
   ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
   EXPECT_TRUE(verdict->discrepancy);
-  EXPECT_NE(verdict->description.find("threads1"), std::string::npos)
+  EXPECT_NE(verdict->description.find("cached"), std::string::npos)
       << verdict->description;
 }
 
@@ -144,7 +142,6 @@ TEST(DifferentialTest, GovernedConfigReproducesTheDefiniteVerdict) {
   Scenario s = MakeScenario(SpecForIndex(3, 1));
   for (uint64_t fault_seed = 1; fault_seed <= 8; ++fault_seed) {
     DifferentialOptions options;
-    options.thread_counts = {1};
     options.with_cache_off = false;
     options.fault_seed = fault_seed;
     auto verdict = RunDifferential(s, options);
@@ -165,10 +162,9 @@ TEST(MinimizeTest, ConvergesOnAPlantedDiscrepancy) {
   spec.contained = true;
   Scenario s = MakeScenario(spec);
 
+  // The flipped cached config disagrees with the cache-off config.
   DifferentialOptions options;
-  options.thread_counts = {1, 2};
-  options.with_cache_off = false;
-  options.flip_config = "threads1";
+  options.flip_config = "cached";
   auto verdict = RunDifferential(s.program, options);
   ASSERT_TRUE(verdict.ok());
   ASSERT_TRUE(verdict->discrepancy);
