@@ -51,9 +51,9 @@ void BM_TilingPyramidChase(benchmark::State& state) {
     }
     atoms = result->instance.size();
     levels = result->max_level_reached;
-    t1_count = result->instance.AtomsWith(Predicate::Get("T1", 5)).size();
+    t1_count = result->instance.IdsWith(Predicate::Get("T1", 5)).size();
     tn_count = result->instance
-                   .AtomsWith(Predicate::Get("T" + std::to_string(n), 5))
+                   .IdsWith(Predicate::Get("T" + std::to_string(n), 5))
                    .size();
   }
   state.counters["chase_atoms"] = static_cast<double>(atoms);
@@ -85,7 +85,7 @@ void BM_TilingPyramidCheckerboard(benchmark::State& state) {
       state.SkipWithError("chase did not complete");
       return;
     }
-    t1_count = result->instance.AtomsWith(Predicate::Get("T1", 5)).size();
+    t1_count = result->instance.IdsWith(Predicate::Get("T1", 5)).size();
   }
   // Checkerboard 2x2 tilings: exactly 2 (up to the choice of corner).
   state.counters["t1_tilings_2x2"] = static_cast<double>(t1_count);

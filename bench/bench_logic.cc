@@ -136,42 +136,6 @@ void BM_InstanceScanByArg(benchmark::State& state) {
 }
 BENCHMARK(BM_InstanceScanByArg)->RangeMultiplier(4)->Range(1 << 12, 1 << 16);
 
-/// The same scan through the materializing compat accessor (AtomsWithArg
-/// copies every matching atom) — the cost cold paths pay, and the before/
-/// after contrast for the arena refactor.
-void BM_InstanceScanByArgMaterialized(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  std::vector<Atom> atoms = MakeWorkload(n, 8, 64);
-  Instance inst = MakeInstance(atoms);
-  std::vector<Predicate> ps;
-  for (int p = 0; p < 8; ++p) {
-    ps.push_back(Predicate::Get("R" + std::to_string(p), 3));
-  }
-  std::vector<Term> cs;
-  for (int c = 0; c < 64; ++c) {
-    cs.push_back(Term::Constant("c" + std::to_string(c)));
-  }
-  size_t scanned = 0;
-  for (auto _ : state) {
-    scanned = 0;
-    for (const Predicate& p : ps) {
-      for (int pos = 0; pos < 3; ++pos) {
-        for (const Term& t : cs) {
-          for (const Atom& a : inst.AtomsWithArg(p, pos, t)) {
-            for (const Term& arg : a.args) {
-              benchmark::DoNotOptimize(arg.id());
-            }
-            ++scanned;
-          }
-        }
-      }
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(scanned) *
-                          state.iterations());
-}
-BENCHMARK(BM_InstanceScanByArgMaterialized)->Arg(1 << 14);
-
 /// Scan: full per-predicate postings sweep, touching every argument of
 /// every atom — the unindexed-candidate fallback path. Iterates the packed
 /// predicate-major mirror (Instance::Postings), exactly as the

@@ -56,7 +56,7 @@ Omq HierarchyOmq(int depth) {
   return Omq{schema, ParseTgds(tgds).value(), ParseQuery(query).value()};
 }
 
-bool FirstVerdict(const Omq& q, ArtifactStore* cache) {
+bool FirstVerdict(const Omq& q, OmqCache* cache) {
   ContainmentOptions options;
   options.cache = cache;
   auto result = CheckContainment(q, q, options);
@@ -65,7 +65,7 @@ bool FirstVerdict(const Omq& q, ArtifactStore* cache) {
 
 /// Seeds `dir` with the compiled artifacts for `q` and seals them.
 void SeedStore(const std::string& dir, const Omq& q) {
-  auto store = TieredStore::Open(TieredStoreConfig{{}, dir}).value();
+  auto store = OmqCache::Open(OmqCacheConfig(), dir).value();
   if (!FirstVerdict(q, store.get())) std::abort();
   store->Flush();
 }
@@ -80,7 +80,7 @@ void BM_ColdStartToFirstVerdict(benchmark::State& state) {
     fs::remove_all(dir);
     fs::create_directories(dir);
     state.ResumeTiming();
-    auto store = TieredStore::Open(TieredStoreConfig{{}, dir}).value();
+    auto store = OmqCache::Open(OmqCacheConfig(), dir).value();
     if (!FirstVerdict(q, store.get())) {
       state.SkipWithError("containment failed");
       return;
@@ -102,7 +102,7 @@ void BM_WarmStartToFirstVerdict(benchmark::State& state) {
   std::string dir = FreshDir("warm" + std::to_string(depth));
   SeedStore(dir, q);
   for (auto _ : state) {
-    auto store = TieredStore::Open(TieredStoreConfig{{}, dir}).value();
+    auto store = OmqCache::Open(OmqCacheConfig(), dir).value();
     if (!FirstVerdict(q, store.get())) {
       state.SkipWithError("containment failed");
       return;
@@ -126,7 +126,7 @@ void BM_StoreOpenByEntries(benchmark::State& state) {
     for (int i = 0; i < entries; ++i) {
       CacheKey key{Fingerprint{static_cast<uint64_t>(i), 0xBEEF}, 0,
                    ArtifactKind::kRewriting};
-      store->Append(key, Fingerprint{}, kArtifactPayloadVersion,
+      store->Append(key, kArtifactPayloadVersion,
                     std::string(256, static_cast<char>('a' + (i % 26))));
     }
     if (!store->Flush().ok()) {

@@ -96,7 +96,7 @@ int Classify(const Program& program) {
 
 int Eval(const Program& program, const Schema& schema,
          const std::string& name, const EngineFlags& flags,
-         ArtifactStore* cache) {
+         OmqCache* cache) {
   auto omq = SingleQueryNamed(program, schema, name);
   if (!omq.ok()) return Fail(omq.status().ToString());
   EngineStats stats;
@@ -131,7 +131,7 @@ int Rewrite(const Program& program, const Schema& schema,
 
 int Contain(const Program& program, const Schema& schema,
             const std::string& lhs, const std::string& rhs,
-            const EngineFlags& flags, ArtifactStore* cache) {
+            const EngineFlags& flags, OmqCache* cache) {
   auto q1 = SingleQueryNamed(program, schema, lhs);
   auto q2 = SingleQueryNamed(program, schema, rhs);
   if (!q1.ok()) return Fail(q1.status().ToString());
@@ -208,15 +208,9 @@ int main(int argc, char** argv) {
   Schema schema = InferProgramDataSchema(*program);
   auto cache_or = MakeCacheFromFlags(flags);
   if (!cache_or.ok()) return Fail(cache_or.status().ToString());
-  std::unique_ptr<ArtifactStore> cache = std::move(cache_or).value();
-  // Seal everything this run compiled into the on-disk store (no-op for
-  // the memory-only cache) so the next process warm-starts.
-  struct FlushOnExit {
-    ArtifactStore* store;
-    ~FlushOnExit() {
-      if (store != nullptr) store->Flush();
-    }
-  } flush_on_exit{cache.get()};
+  // Destroying the cache on return seals everything this run compiled
+  // into --cache-dir so the next process warm-starts.
+  std::unique_ptr<OmqCache> cache = std::move(cache_or).value();
 
   const std::string& command = args[0];
   if (command == "classify") return Classify(*program);

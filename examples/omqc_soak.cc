@@ -25,7 +25,7 @@
 //   --repro-dir=PATH  where repro files land (default ".")
 //   --max-repros=N    stop minimizing after N repros (default 3)
 //   --persist-dir=PATH  include the persistent-cache config: containment
-//                     over a TieredStore rooted at PATH, warm-reloaded
+//                     over an OmqCache backed by PATH, warm-reloaded
 //                     (flush + close + reopen from disk) every 25
 //                     scenarios so later scenarios exercise artifacts
 //                     decoded from segments written by earlier ones
@@ -172,14 +172,14 @@ int main(int argc, char** argv) {
 
   OmqCache cache;  // shared by the cached configs, across scenarios
 
-  // Persistent-cache config: a TieredStore warm-reloaded (flush + close +
-  // reopen) every kPersistReloadEvery scenarios, so the configs after a
-  // reload run over artifacts decoded from disk segments rather than the
-  // in-memory originals.
+  // Persistent-cache config: a disk-backed cache warm-reloaded (flush +
+  // close + reopen) every kPersistReloadEvery scenarios, so the configs
+  // after a reload run over artifacts decoded from disk segments rather
+  // than the in-memory originals.
   constexpr uint64_t kPersistReloadEvery = 25;
-  std::unique_ptr<TieredStore> persist_store;
+  std::unique_ptr<OmqCache> persist_store;
   auto open_persist = [&]() -> bool {
-    auto store = TieredStore::Open(TieredStoreConfig{{}, persist_dir});
+    auto store = OmqCache::Open(OmqCacheConfig(), persist_dir);
     if (!store.ok()) {
       std::fprintf(stderr, "error: --persist-dir: %s\n",
                    store.status().ToString().c_str());

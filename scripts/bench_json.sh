@@ -1,7 +1,10 @@
 #!/usr/bin/env sh
 # Run bench binaries with --benchmark_format=json and write the results to
 # BENCH_<name>.json in the repo root (bench_chase -> BENCH_chase.json), for
-# before/after comparisons across commits.
+# before/after comparisons across commits. Each file's "context" records
+# the commit (suffixed -dirty when tracked files differ from it), the
+# machine's CPU count and the build type, so numbers from different
+# machines or builds are never compared by accident.
 #
 # Usage: scripts/bench_json.sh [bench_name...] [-- extra benchmark args...]
 #   scripts/bench_json.sh                 # every bench_* binary in the build
@@ -37,6 +40,14 @@ if [ -z "$benches" ]; then
   done
 fi
 
+commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if [ -n "$(git status --porcelain --untracked-files=no 2>/dev/null)" ]; then
+  commit="$commit-dirty"
+fi
+build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' \
+    "$BUILD_DIR/CMakeCache.txt" 2>/dev/null)"
+context="commit=$commit,nproc=$(nproc),build_type=${build_type:-unknown}"
+
 for bench in $benches; do
   bin="$BUILD_DIR/bench/$bench"
   if [ ! -x "$bin" ]; then
@@ -47,5 +58,6 @@ for bench in $benches; do
   echo "== $bench -> $out"
   # shellcheck disable=SC2086  # extra_args is intentionally word-split
   "$bin" --benchmark_format=json --benchmark_out_format=json \
-      --benchmark_out="$out" $extra_args >/dev/null
+      --benchmark_out="$out" --benchmark_context="$context" \
+      $extra_args >/dev/null
 done

@@ -40,6 +40,8 @@ def main() -> int:
     times: dict[str, float] = {}
     medians: dict[str, float] = {}
     for b in results.get("benchmarks", []):
+        if "real_time" not in b:
+            continue  # BigO/RMS complexity aggregates carry no time
         t = ns(b["real_time"], b["time_unit"])
         if b.get("aggregate_name") == "median":
             medians[b["run_name"]] = t

@@ -25,8 +25,9 @@
 //
 // Parent/child linkage: a child governor shares the parent's limits by
 // consultation (the child's Check also checks the parent) but owns its own
-// token, so an engine can cancel its in-flight workers (e.g. containment
-// found a refuting disjunct) without cancelling the caller's request.
+// token, so an engine can stop its own remaining work (e.g. containment
+// found a refuting disjunct and ends the enumeration) without cancelling
+// the caller's request.
 // Counters always accumulate at the root, so EngineStats reflects the
 // whole request no matter how many internal children were layered on.
 // Byte charges accumulate at *every* level of the chain, and each level's
@@ -51,8 +52,9 @@ namespace omqc {
 class FaultInjector;
 
 /// A thread-safe cancellation flag. Cancellation is cooperative: setting
-/// the token does not interrupt anything by itself; workers observe it at
-/// their next governor check and unwind with partial results.
+/// the token does not interrupt anything by itself; the running request
+/// observes it at its next governor check and unwinds with partial
+/// results.
 class CancellationToken {
  public:
   void Cancel() { cancelled_.store(true, std::memory_order_release); }
@@ -67,7 +69,8 @@ class CancellationToken {
 /// Governor trip/activity counters, exported into EngineStats. All fields
 /// are monotone snapshots of one shared source, so Merge takes the
 /// element-wise max (summing would double-count the same governor seen
-/// through several workers' stats).
+/// through several merged EngineStats, e.g. a per-candidate RHS check's
+/// stats folded into the request's).
 struct GovernorCounters {
   uint64_t checks = 0;
   uint64_t deadline_trips = 0;

@@ -53,16 +53,15 @@ size_t ApproxBytes(const ConjunctiveQuery& q) {
 
 }  // namespace
 
-TgdProfile GetTgdProfile(ArtifactStore* cache, const TgdSet& tgds,
+TgdProfile GetTgdProfile(OmqCache* cache, const TgdSet& tgds,
                          CacheCounters* counters) {
   if (cache == nullptr) return ComputeProfile(tgds);
-  Fingerprint tgd_tag = FingerprintTgdSet(tgds);
-  CacheKey key{tgd_tag, 0, ArtifactKind::kClassification};
+  CacheKey key{FingerprintTgdSet(tgds), 0, ArtifactKind::kClassification};
   if (auto hit = cache->Get<TgdProfile>(key, counters)) return *hit;
   auto profile = std::make_shared<TgdProfile>(ComputeProfile(tgds));
   TgdProfile result = *profile;
   cache->Put(key, std::shared_ptr<const TgdProfile>(std::move(profile)),
-             sizeof(TgdProfile), counters, tgd_tag);
+             sizeof(TgdProfile), counters);
   return result;
 }
 
@@ -106,7 +105,7 @@ size_t ApproxBytes(const UnionOfCQs& ucq) {
 }
 
 Result<std::shared_ptr<const UnionOfCQs>> CachedXRewrite(
-    ArtifactStore* cache, const Schema& data_schema, const TgdSet& tgds,
+    OmqCache* cache, const Schema& data_schema, const TgdSet& tgds,
     const ConjunctiveQuery& q, const XRewriteOptions& options,
     XRewriteStats* stats, CacheCounters* counters) {
   if (cache == nullptr) {
@@ -127,13 +126,12 @@ Result<std::shared_ptr<const UnionOfCQs>> CachedXRewrite(
       XRewrite(data_schema, tgds, q, options, &computed->compute_stats));
   if (stats != nullptr) stats->Merge(computed->compute_stats);
   std::shared_ptr<const CachedRewriting> entry = std::move(computed);
-  cache->Put(key, entry, ApproxBytes(entry->ucq), counters,
-             FingerprintTgdSet(tgds));
+  cache->Put(key, entry, ApproxBytes(entry->ucq), counters);
   return std::shared_ptr<const UnionOfCQs>(entry, &entry->ucq);
 }
 
 Result<RewriteEnumeration> CachedEnumerateRewritings(
-    ArtifactStore* cache, const Schema& data_schema, const TgdSet& tgds,
+    OmqCache* cache, const Schema& data_schema, const TgdSet& tgds,
     const ConjunctiveQuery& q, const XRewriteOptions& options,
     const std::function<bool(const ConjunctiveQuery&)>& on_disjunct,
     XRewriteStats* stats, CacheCounters* counters) {
@@ -160,8 +158,7 @@ Result<RewriteEnumeration> CachedEnumerateRewritings(
   if (stats != nullptr) stats->Merge(collected->compute_stats);
   if (outcome == RewriteEnumeration::kSaturated) {
     size_t bytes = ApproxBytes(collected->ucq);
-    cache->Put<CachedRewriting>(key, std::move(collected), bytes, counters,
-                                FingerprintTgdSet(tgds));
+    cache->Put<CachedRewriting>(key, std::move(collected), bytes, counters);
   }
   return outcome;
 }

@@ -4,20 +4,16 @@
 // when `cache` is null, so callers thread one optional pointer through and
 // never branch on caching themselves. All wrappers are safe to call
 // concurrently with a shared cache (per-run tallies go to the caller's
-// CacheCounters, which must not be shared across threads).
-//
-// The store parameter is the abstract ArtifactStore: a plain OmqCache, or
-// a TieredStore (cache/persist.h) that transparently consults and fills
-// its on-disk tier. Inserts carry the tgd set's fingerprint as the
-// invalidation tag so a tiered store can drop exactly the artifacts
-// compiled from an ontology that changed.
+// CacheCounters, which must not be shared across threads). A disk-backed
+// cache (OmqCache::Open) consults and fills its on-disk tier
+// transparently.
 
 #ifndef OMQC_CACHE_CACHED_OPS_H_
 #define OMQC_CACHE_CACHED_OPS_H_
 
 #include <memory>
 
-#include "cache/artifact_store.h"
+#include "cache/omq_cache.h"
 #include "logic/instance.h"
 #include "rewrite/xrewrite.h"
 #include "tgd/classify.h"
@@ -40,7 +36,7 @@ struct TgdProfile {
 
 /// Classifies `tgds`, consulting/filling `cache` (keyed by the tgd set's
 /// canonical fingerprint) when non-null.
-TgdProfile GetTgdProfile(ArtifactStore* cache, const TgdSet& tgds,
+TgdProfile GetTgdProfile(OmqCache* cache, const TgdSet& tgds,
                          CacheCounters* counters = nullptr);
 
 /// A cached (complete) UCQ rewriting together with the stats of the run
@@ -83,7 +79,7 @@ size_t ApproxBytes(const UnionOfCQs& ucq);
 /// (EngineStats counters mean work performed; the saved compilation shows
 /// up as a hit in `counters` instead).
 Result<std::shared_ptr<const UnionOfCQs>> CachedXRewrite(
-    ArtifactStore* cache, const Schema& data_schema, const TgdSet& tgds,
+    OmqCache* cache, const Schema& data_schema, const TgdSet& tgds,
     const ConjunctiveQuery& q, const XRewriteOptions& options,
     XRewriteStats* stats = nullptr, CacheCounters* counters = nullptr);
 
@@ -93,7 +89,7 @@ Result<std::shared_ptr<const UnionOfCQs>> CachedXRewrite(
 /// enumeration saturates. Budget-exhausted and stopped enumerations are
 /// not cached (they are incomplete).
 Result<RewriteEnumeration> CachedEnumerateRewritings(
-    ArtifactStore* cache, const Schema& data_schema, const TgdSet& tgds,
+    OmqCache* cache, const Schema& data_schema, const TgdSet& tgds,
     const ConjunctiveQuery& q, const XRewriteOptions& options,
     const std::function<bool(const ConjunctiveQuery&)>& on_disjunct,
     XRewriteStats* stats = nullptr, CacheCounters* counters = nullptr);

@@ -1,26 +1,28 @@
-// OmqCache: a fixed-capacity, sharded, thread-safe LRU cache for compiled
-// OMQ artifacts — UCQ rewritings (XRewrite output), ontology
-// classifications (src/tgd/classify), prepared RHS evaluators
-// (src/core/containment.cc) and chased instances (src/core/eval.cc).
+// OmqCache: the compilation cache for OMQ artifacts — UCQ rewritings
+// (XRewrite output), ontology classifications (src/tgd/classify), prepared
+// RHS evaluators (src/core/containment.cc) and chased instances
+// (src/core/eval.cc). It is a fixed-capacity, sharded, thread-safe LRU,
+// optionally backed by the on-disk segment store of cache/persist.h.
+//
 // Entries are keyed by the 128-bit structural fingerprint of the compiled
 // object (src/cache/canonical.h) plus a digest of the options that shaped
 // the compilation, so queries equal up to variable renaming share one
-// entry and different budgets never alias.
+// entry and different budgets never alias. A changed ontology is a new
+// key, so a stale entry can never be served and nothing is invalidated.
 //
-// This is the memory-only ArtifactStore implementation — the L1 tier of
-// cache/persist.h's TieredStore, and the whole store when no --cache-dir
-// is configured.
-//
-// Concurrency: keys hash to one of `shards` independent shards, each with
-// its own mutex, LRU list and counters; the server shares one OmqCache
-// across all pool workers. Values are immutable
-// objects handed out as shared_ptr<const T>; a value stays alive while any
-// reader holds it, even after eviction.
+// Concurrency: keys hash to one of `num_shards` independent shards, each
+// with its own mutex, LRU list and counters; the server shares one
+// OmqCache across all pool workers. Values are immutable objects handed
+// out as shared_ptr<const T>; a value stays alive while any reader holds
+// it, even after eviction.
 //
 // The cache never changes semantics: every consumer falls back to a fresh
-// compilation on miss (or when the cache pointer is null), and cached
-// artifacts are bit-compatible with what the fallback would compute for
-// the same key (enforced by tests/cache_integration_test.cc).
+// compilation on miss (or when the cache pointer is null), only
+// *saturated* artifacts are inserted, and a served artifact — from memory
+// or decoded from disk — is observationally identical to what the
+// fallback would compute for the same key (enforced by
+// tests/cache_integration_test.cc and tests/persist_test.cc). This is
+// what makes verdicts byte-identical cold vs warm vs cross-process.
 
 #ifndef OMQC_CACHE_OMQ_CACHE_H_
 #define OMQC_CACHE_OMQ_CACHE_H_
@@ -35,10 +37,87 @@
 #include <utility>
 #include <vector>
 
-#include "cache/artifact_store.h"
+#include "base/status.h"
 #include "cache/canonical.h"
 
 namespace omqc {
+
+class FaultInjector;
+class PersistentStore;
+
+/// What a cache entry holds. Part of the key: the same fingerprint may
+/// cache several artifact kinds side by side.
+enum class ArtifactKind : uint8_t {
+  kRewriting = 0,       ///< CachedRewriting (cache/cached_ops.h)
+  kClassification = 1,  ///< TgdProfile (cache/cached_ops.h)
+  kRhsEvaluator = 2,    ///< RhsEvaluator (src/core/containment.cc)
+  kChasedInstance = 3,  ///< CachedChase (cache/cached_ops.h)
+};
+
+struct CacheKey {
+  Fingerprint fingerprint;
+  uint64_t options_digest = 0;
+  ArtifactKind kind = ArtifactKind::kRewriting;
+
+  bool operator==(const CacheKey& other) const {
+    return fingerprint == other.fingerprint &&
+           options_digest == other.options_digest && kind == other.kind;
+  }
+};
+
+struct CacheKeyHash {
+  size_t operator()(const CacheKey& key) const {
+    size_t h = FingerprintHash{}(key.fingerprint);
+    h ^= (key.options_digest + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+    return h ^ (static_cast<size_t>(key.kind) << 1);
+  }
+};
+
+/// Tallies of cache traffic. Used both per-run (embedded in EngineStats)
+/// and as the cache-global aggregate. `lookups`/`hits`/`misses` describe
+/// the in-memory tier; the persist_* fields describe the on-disk tier
+/// (always zero for a memory-only cache).
+struct CacheCounters {
+  size_t lookups = 0;
+  size_t hits = 0;
+  size_t misses = 0;
+  size_t insertions = 0;
+  size_t evictions = 0;
+  size_t bytes_inserted = 0;
+  /// Memory misses served (decoded and promoted) from the on-disk tier,
+  /// and records appended to it.
+  size_t persist_hits = 0;
+  size_t persist_writes = 0;
+
+  void Merge(const CacheCounters& other) {
+    lookups += other.lookups;
+    hits += other.hits;
+    misses += other.misses;
+    insertions += other.insertions;
+    evictions += other.evictions;
+    bytes_inserted += other.bytes_inserted;
+    persist_hits += other.persist_hits;
+    persist_writes += other.persist_writes;
+  }
+
+  std::string ToString() const;
+};
+
+/// Aggregate snapshot across all shards, plus the on-disk tier's
+/// occupancy and load-time health counters.
+struct OmqCacheStats {
+  CacheCounters counters;
+  size_t entries = 0;  ///< live in-memory entries
+  size_t bytes = 0;    ///< approximate bytes held by live entries
+  /// On-disk tier (zero for a memory-only cache):
+  size_t persist_entries = 0;   ///< records indexed from the segment files
+  size_t persist_segments = 0;  ///< sealed segments referenced by the manifest
+  size_t persist_corrupt_records = 0;  ///< records rejected by checksum/bounds
+  size_t persist_version_rejects = 0;  ///< segments/manifests of a foreign
+                                       ///< format version or build epoch
+
+  std::string ToString() const;
+};
 
 struct OmqCacheConfig {
   /// Total entry capacity, split evenly across shards (each shard holds at
@@ -48,9 +127,22 @@ struct OmqCacheConfig {
   size_t num_shards = 8;
 };
 
-class OmqCache : public ArtifactStore {
+class OmqCache {
  public:
+  /// A memory-only cache.
   explicit OmqCache(OmqCacheConfig config = OmqCacheConfig());
+
+  /// A cache backed by the segment store rooted at `dir` (created if
+  /// absent). Memory misses fall through to the disk tier, decode the
+  /// stored payload and promote it; inserts of persistable kinds are
+  /// appended to it. Fails only when the directory cannot be created —
+  /// bad segment contents degrade to a cold cache, never to an error.
+  static Result<std::unique_ptr<OmqCache>> Open(OmqCacheConfig config,
+                                                const std::string& dir);
+
+  /// Flushes the disk tier (a crash after destruction loses nothing that
+  /// was inserted before it).
+  ~OmqCache();
 
   OmqCache(const OmqCache&) = delete;
   OmqCache& operator=(const OmqCache&) = delete;
@@ -59,32 +151,47 @@ class OmqCache : public ArtifactStore {
   /// If `counters` is non-null the lookup is tallied into it as well as
   /// into the cache-global counters.
   std::shared_ptr<const void> GetErased(const CacheKey& key,
-                                        CacheCounters* counters =
-                                            nullptr) override;
+                                        CacheCounters* counters = nullptr);
 
   /// Inserts (or replaces) `key`, evicting least-recently-used entries of
-  /// the shard while it is over capacity. `bytes` is the caller's size
-  /// estimate, used only for accounting. `tgd_tag` is ignored: a
-  /// memory-only cache is invalidated wholesale via Clear().
+  /// the shard while it is over capacity, and appends persistable kinds
+  /// to the disk tier. `bytes` is the caller's size estimate, used only
+  /// for accounting. An insert may be dropped (capacity, fault
+  /// injection): callers must treat Put as advisory.
   void PutErased(const CacheKey& key, std::shared_ptr<const void> value,
-                 size_t bytes, CacheCounters* counters = nullptr,
-                 const Fingerprint& tgd_tag = Fingerprint{}) override;
+                 size_t bytes, CacheCounters* counters = nullptr);
 
-  /// Drops every entry (counters are kept).
-  void Clear() override;
+  /// Typed convenience wrappers. The ArtifactKind in the key is the type
+  /// tag: every producer/consumer of a kind must agree on T.
+  template <typename T>
+  std::shared_ptr<const T> Get(const CacheKey& key,
+                               CacheCounters* counters = nullptr) {
+    return std::static_pointer_cast<const T>(GetErased(key, counters));
+  }
+  template <typename T>
+  void Put(const CacheKey& key, std::shared_ptr<const T> value, size_t bytes,
+           CacheCounters* counters = nullptr) {
+    PutErased(key, std::static_pointer_cast<const void>(std::move(value)),
+              bytes, counters);
+  }
 
-  /// Aggregated counters + occupancy across shards.
-  OmqCacheStats Stats() const override;
+  /// Aggregated counters + occupancy across shards and the disk tier.
+  OmqCacheStats Stats() const;
+
+  /// Seals records appended since the last flush into a new segment
+  /// (no-op for a memory-only cache). Called by the CLI on exit and the
+  /// server on drain; a failure is reported on stderr.
+  void Flush();
 
   size_t size() const;
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return shards_.size(); }
 
   /// Test-only: installs a fault injector whose OnCacheInsert hook may
-  /// drop inserts (PutErased becomes a no-op for the designated insert —
-  /// indistinguishable from an immediate eviction, which callers must
-  /// already tolerate). Pass nullptr to detach.
-  void set_fault_injector(FaultInjector* injector) override {
+  /// drop inserts (the memory insert becomes a no-op for the designated
+  /// insert — indistinguishable from an immediate eviction, which callers
+  /// must already tolerate). Pass nullptr to detach.
+  void set_fault_injector(FaultInjector* injector) {
     fault_injector_.store(injector, std::memory_order_release);
   }
 
@@ -108,10 +215,18 @@ class OmqCache : public ArtifactStore {
     return *shards_[CacheKeyHash{}(key) % shards_.size()];
   }
 
+  /// The memory-tier half of PutErased; also promotes disk hits.
+  void InsertInMemory(const CacheKey& key, std::shared_ptr<const void> value,
+                      size_t bytes, CacheCounters* counters);
+
   size_t capacity_;
   size_t per_shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<FaultInjector*> fault_injector_{nullptr};
+  /// The disk tier; null for a memory-only cache.
+  std::unique_ptr<PersistentStore> persist_;
+  std::atomic<size_t> persist_hits_{0};
+  std::atomic<size_t> persist_writes_{0};
 };
 
 }  // namespace omqc

@@ -114,7 +114,6 @@ constexpr uint32_t kSegmentMagic = 0x53514D4Fu;   // "OMQS"
 constexpr uint32_t kManifestMagic = 0x4D514D4Fu;  // "OMQM"
 
 constexpr uint8_t kRecordArtifact = 1;
-constexpr uint8_t kRecordTombstone = 2;
 
 /// Record payloads may be large (a chased instance), but a single record
 /// claiming more than this is treated as a tear.
@@ -130,8 +129,7 @@ std::string SegmentHeader() {
 
 /// Encodes one artifact record, checksum included. The checksum covers
 /// every record byte before it.
-std::string EncodeArtifactRecord(const CacheKey& key, const Fingerprint& tag,
-                                 uint32_t payload_version,
+std::string EncodeArtifactRecord(const CacheKey& key, uint32_t payload_version,
                                  const std::string& payload) {
   ByteWriter w;
   w.U8(kRecordArtifact);
@@ -139,20 +137,9 @@ std::string EncodeArtifactRecord(const CacheKey& key, const Fingerprint& tag,
   w.U64(key.fingerprint.lo);
   w.U64(key.options_digest);
   w.U8(static_cast<uint8_t>(key.kind));
-  w.U64(tag.hi);
-  w.U64(tag.lo);
   w.U32(payload_version);
   w.U32(static_cast<uint32_t>(payload.size()));
   w.Bytes(payload.data(), payload.size());
-  w.U64(Xxh64(w.data().data(), w.size()));
-  return w.Take();
-}
-
-std::string EncodeTombstoneRecord(const Fingerprint& tag) {
-  ByteWriter w;
-  w.U8(kRecordTombstone);
-  w.U64(tag.hi);
-  w.U64(tag.lo);
   w.U64(Xxh64(w.data().data(), w.size()));
   return w.Take();
 }
@@ -245,51 +232,30 @@ void PersistentStore::LoadSegment(const std::string& path) {
     // record starts so the stored hash can be recomputed.
     const size_t start = bytes.size() - r.remaining();
     uint8_t type = r.U8();
-    if (type == kRecordArtifact) {
-      CacheKey key;
-      key.fingerprint.hi = r.U64();
-      key.fingerprint.lo = r.U64();
-      key.options_digest = r.U64();
-      uint8_t kind = r.U8();
-      Fingerprint tag;
-      tag.hi = r.U64();
-      tag.lo = r.U64();
-      uint32_t payload_version = r.U32();
-      uint32_t payload_len = r.U32();
-      if (!r.ok() || payload_len > kMaxRecordPayload ||
-          payload_len > r.remaining() ||
-          kind > static_cast<uint8_t>(ArtifactKind::kChasedInstance)) {
-        ++corrupt_records_;
-        return;  // cannot resync past a tear in an append-only file
-      }
-      auto payload = std::make_shared<std::string>();
-      payload->resize(payload_len);
-      r.Bytes(payload->data(), payload_len);
-      const size_t body_size = (bytes.size() - r.remaining()) - start;
-      uint64_t stored = r.U64();
-      if (!r.ok() || stored != Xxh64(bytes.data() + start, body_size)) {
-        ++corrupt_records_;
-        return;
-      }
-      key.kind = static_cast<ArtifactKind>(kind);
-      index_[key] = Entry{std::move(payload), tag, payload_version};
-    } else if (type == kRecordTombstone) {
-      Fingerprint tag;
-      tag.hi = r.U64();
-      tag.lo = r.U64();
-      const size_t body_size = (bytes.size() - r.remaining()) - start;
-      uint64_t stored = r.U64();
-      if (!r.ok() || stored != Xxh64(bytes.data() + start, body_size)) {
-        ++corrupt_records_;
-        return;
-      }
-      for (auto it = index_.begin(); it != index_.end();) {
-        it = it->second.tgd_tag == tag ? index_.erase(it) : std::next(it);
-      }
-    } else {
+    CacheKey key;
+    key.fingerprint.hi = r.U64();
+    key.fingerprint.lo = r.U64();
+    key.options_digest = r.U64();
+    uint8_t kind = r.U8();
+    uint32_t payload_version = r.U32();
+    uint32_t payload_len = r.U32();
+    if (!r.ok() || type != kRecordArtifact || payload_len > kMaxRecordPayload ||
+        payload_len > r.remaining() ||
+        kind > static_cast<uint8_t>(ArtifactKind::kChasedInstance)) {
+      ++corrupt_records_;
+      return;  // cannot resync past a tear in an append-only file
+    }
+    auto payload = std::make_shared<std::string>();
+    payload->resize(payload_len);
+    r.Bytes(payload->data(), payload_len);
+    const size_t body_size = (bytes.size() - r.remaining()) - start;
+    uint64_t stored = r.U64();
+    if (!r.ok() || stored != Xxh64(bytes.data() + start, body_size)) {
       ++corrupt_records_;
       return;
     }
+    key.kind = static_cast<ArtifactKind>(kind);
+    index_[key] = Entry{std::move(payload), payload_version};
   }
 }
 
@@ -311,21 +277,12 @@ bool PersistentStore::Contains(const CacheKey& key) const {
          it->second.payload_version == kArtifactPayloadVersion;
 }
 
-void PersistentStore::Append(const CacheKey& key, const Fingerprint& tgd_tag,
-                             uint32_t payload_version, std::string payload) {
+void PersistentStore::Append(const CacheKey& key, uint32_t payload_version,
+                             std::string payload) {
   auto shared = std::make_shared<const std::string>(std::move(payload));
   std::lock_guard<std::mutex> lock(mu_);
-  pending_.push_back(
-      EncodeArtifactRecord(key, tgd_tag, payload_version, *shared));
-  index_[key] = Entry{std::move(shared), tgd_tag, payload_version};
-}
-
-void PersistentStore::Invalidate(const Fingerprint& tgd_tag) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = index_.begin(); it != index_.end();) {
-    it = it->second.tgd_tag == tgd_tag ? index_.erase(it) : std::next(it);
-  }
-  pending_.push_back(EncodeTombstoneRecord(tgd_tag));
+  pending_.push_back(EncodeArtifactRecord(key, payload_version, *shared));
+  index_[key] = Entry{std::move(shared), payload_version};
 }
 
 Status PersistentStore::WriteFileDurably(const std::string& final_path,
@@ -413,96 +370,7 @@ PersistentStoreStats PersistentStore::stats() const {
   s.segments = segment_names_.size();
   s.corrupt_records = corrupt_records_;
   s.version_rejects = version_rejects_;
-  s.pending_records = pending_.size();
   return s;
-}
-
-// ---------------------------------------------------------------------------
-// TieredStore
-
-Result<std::unique_ptr<TieredStore>> TieredStore::Open(
-    TieredStoreConfig config) {
-  OMQC_ASSIGN_OR_RETURN(std::unique_ptr<PersistentStore> persist,
-                        PersistentStore::Open(config.dir));
-  return std::unique_ptr<TieredStore>(new TieredStore(
-      std::make_unique<OmqCache>(config.l1), std::move(persist)));
-}
-
-TieredStore::~TieredStore() { TieredStore::Flush(); }
-
-std::shared_ptr<const void> TieredStore::GetErased(const CacheKey& key,
-                                                   CacheCounters* counters) {
-  if (auto hit = l1_->GetErased(key, counters)) return hit;
-  std::shared_ptr<const std::string> raw = persist_->Lookup(key);
-  if (raw == nullptr) return nullptr;
-  ByteReader in(*raw);
-  Result<DecodedArtifact> decoded = DeserializeArtifact(key.kind, in);
-  if (!decoded.ok() || !in.AtEnd()) {
-    // The payload passed its checksum yet does not decode — an encoder
-    // bug or a version skew the record header missed. Fall back to a
-    // cold compile; the recompute overwrites the bad record.
-    return nullptr;
-  }
-  DecodedArtifact artifact = std::move(decoded).value();
-  persist_hits_.fetch_add(1, std::memory_order_relaxed);
-  promotions_.fetch_add(1, std::memory_order_relaxed);
-  if (counters != nullptr) {
-    ++counters->persist_hits;
-    ++counters->promotions;
-  }
-  // Promote into L1 so the next lookup skips the decode. Deliberately not
-  // re-appended to L2 (it is already there).
-  l1_->PutErased(key, artifact.value, artifact.bytes);
-  return artifact.value;
-}
-
-void TieredStore::PutErased(const CacheKey& key,
-                            std::shared_ptr<const void> value, size_t bytes,
-                            CacheCounters* counters,
-                            const Fingerprint& tgd_tag) {
-  l1_->PutErased(key, value, bytes, counters, tgd_tag);
-  if (!ArtifactKindPersistable(key.kind)) return;
-  if (persist_->Contains(key)) return;  // already durable; skip re-encoding
-  ByteWriter out;
-  if (!SerializeArtifact(key.kind, value.get(), out)) return;
-  persist_->Append(key, tgd_tag, kArtifactPayloadVersion, out.Take());
-  persist_writes_.fetch_add(1, std::memory_order_relaxed);
-  if (counters != nullptr) ++counters->persist_writes;
-}
-
-void TieredStore::InvalidateTgdSet(const Fingerprint& tgd_tag) {
-  // L1 entries do not remember their tags; dropping it wholesale is safe
-  // (cold lookups refill from L2, which pruned precisely).
-  l1_->Clear();
-  persist_->Invalidate(tgd_tag);
-}
-
-void TieredStore::Clear() { l1_->Clear(); }
-
-OmqCacheStats TieredStore::Stats() const {
-  OmqCacheStats stats = l1_->Stats();
-  stats.counters.persist_hits = persist_hits_.load(std::memory_order_relaxed);
-  stats.counters.persist_writes =
-      persist_writes_.load(std::memory_order_relaxed);
-  stats.counters.promotions = promotions_.load(std::memory_order_relaxed);
-  PersistentStoreStats ps = persist_->stats();
-  stats.persist_entries = ps.entries;
-  stats.persist_segments = ps.segments;
-  stats.persist_corrupt_records = ps.corrupt_records;
-  stats.persist_version_rejects = ps.version_rejects;
-  return stats;
-}
-
-void TieredStore::Flush() {
-  Status status = persist_->Flush();
-  if (!status.ok()) {
-    std::fprintf(stderr, "omqc: cache flush failed: %s\n",
-                 status.message().c_str());
-  }
-}
-
-void TieredStore::set_fault_injector(FaultInjector* injector) {
-  l1_->set_fault_injector(injector);
 }
 
 }  // namespace omqc

@@ -1,6 +1,6 @@
-// The persistent tier of the artifact cache: a versioned, append-only,
-// crash-safe on-disk segment store plus the TieredStore that stacks the
-// sharded in-memory LRU (cache/omq_cache.h) in front of it.
+// The on-disk tier of the compilation cache (cache/omq_cache.h): a
+// versioned, append-only, crash-safe segment store. OmqCache::Open puts
+// the sharded in-memory LRU in front of it.
 //
 // On-disk layout (all integers little-endian, see DESIGN.md "Artifact
 // store & snapshot format"):
@@ -9,13 +9,10 @@
 //                           the ordered list of sealed segment names,
 //                           XXH64 checksum of everything before it.
 //   <dir>/seg-<n>.omqs      magic "OMQS", format version, build epoch,
-//                           then a run of records, each carrying its own
-//                           XXH64 checksum:
-//                             artifact : key {fingerprint, options digest,
-//                                        kind} + tgd tag + payload version
-//                                        + length-prefixed payload
-//                             tombstone: tgd tag (erases every earlier
-//                                        artifact carrying that tag)
+//                           then a run of artifact records, each
+//                           carrying its own XXH64 checksum: key
+//                           {fingerprint, options digest, kind} + payload
+//                           version + length-prefixed payload.
 //
 // Durability: segments are sealed by writing to a temp file, fsync'ing,
 // renaming into place and fsync'ing the directory; the manifest is
@@ -37,7 +34,6 @@
 #ifndef OMQC_CACHE_PERSIST_H_
 #define OMQC_CACHE_PERSIST_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -59,7 +55,7 @@ uint64_t Xxh64(const void* data, size_t size, uint64_t seed = 0);
 /// On-disk format version of segments and the manifest. Bump on layout
 /// changes; kArtifactPayloadVersion (cache/serialize.h) separately versions
 /// the payloads inside records.
-constexpr uint32_t kSegmentFormatVersion = 1;
+constexpr uint32_t kSegmentFormatVersion = 2;
 
 /// Build epoch stamped into segments and the manifest: artifacts encode by
 /// name and carry their own payload version, so the epoch only changes
@@ -72,7 +68,6 @@ struct PersistentStoreStats {
   size_t segments = 0;
   size_t corrupt_records = 0;
   size_t version_rejects = 0;
-  size_t pending_records = 0;  ///< appended since the last Flush
 };
 
 /// The on-disk tier. Thread-safe. Single-writer per directory is assumed
@@ -96,12 +91,8 @@ class PersistentStore {
 
   /// Stages an artifact record for the next Flush and makes it visible to
   /// Lookup immediately. Last write wins per key.
-  void Append(const CacheKey& key, const Fingerprint& tgd_tag,
-              uint32_t payload_version, std::string payload);
-
-  /// Drops every entry whose tgd tag equals `tgd_tag` and stages a
-  /// tombstone so the drop survives restarts.
-  void Invalidate(const Fingerprint& tgd_tag);
+  void Append(const CacheKey& key, uint32_t payload_version,
+              std::string payload);
 
   /// Seals pending records into a new segment and rewrites the manifest
   /// (temp + fsync + rename). No-op when nothing is pending.
@@ -109,14 +100,11 @@ class PersistentStore {
 
   PersistentStoreStats stats() const;
 
-  const std::string& dir() const { return dir_; }
-
  private:
   explicit PersistentStore(std::string dir) : dir_(std::move(dir)) {}
 
   struct Entry {
     std::shared_ptr<const std::string> payload;
-    Fingerprint tgd_tag;
     uint32_t payload_version = 0;
   };
 
@@ -127,65 +115,12 @@ class PersistentStore {
   const std::string dir_;
   mutable std::mutex mu_;
   std::unordered_map<CacheKey, Entry, CacheKeyHash> index_;
-  /// Staged records, encoded, in append order (tombstones interleaved so
-  /// replay order matches the in-memory effect).
+  /// Staged records, encoded, in append order.
   std::vector<std::string> pending_;
   std::vector<std::string> segment_names_;  ///< manifest order
   uint64_t next_segment_id_ = 0;
   size_t corrupt_records_ = 0;
   size_t version_rejects_ = 0;
-};
-
-struct TieredStoreConfig {
-  OmqCacheConfig l1;
-  std::string dir;
-};
-
-/// ArtifactStore stacking the in-memory LRU (L1) over a PersistentStore
-/// (L2). Lookups fall through L1 misses to L2, decode the stored payload
-/// and promote the artifact into L1; inserts go to L1 and (for persistable
-/// kinds, deduplicated by key) are appended to L2. Artifact semantics are
-/// unchanged: L2 only ever holds payloads written for saturated artifacts,
-/// and a decoded artifact is observationally identical to the cold-computed
-/// one, so verdicts are byte-identical cold vs warm vs cross-process.
-class TieredStore : public ArtifactStore {
- public:
-  static Result<std::unique_ptr<TieredStore>> Open(TieredStoreConfig config);
-
-  /// Flushes the persistent tier (crash after destruction loses nothing
-  /// that was inserted before it).
-  ~TieredStore() override;
-
-  std::shared_ptr<const void> GetErased(const CacheKey& key,
-                                        CacheCounters* counters =
-                                            nullptr) override;
-  void PutErased(const CacheKey& key, std::shared_ptr<const void> value,
-                 size_t bytes, CacheCounters* counters = nullptr,
-                 const Fingerprint& tgd_tag = Fingerprint{}) override;
-
-  /// Drops L1 wholesale (entries do not remember their tags) and exactly
-  /// the on-disk artifacts compiled from the tgd set with this
-  /// fingerprint. Artifacts of unchanged ontologies stay warm.
-  void InvalidateTgdSet(const Fingerprint& tgd_tag);
-
-  void Clear() override;
-  OmqCacheStats Stats() const override;
-  void Flush() override;
-  void set_fault_injector(FaultInjector* injector) override;
-
-  OmqCache* l1() { return l1_.get(); }
-  PersistentStore* persist() { return persist_.get(); }
-
- private:
-  TieredStore(std::unique_ptr<OmqCache> l1,
-              std::unique_ptr<PersistentStore> persist)
-      : l1_(std::move(l1)), persist_(std::move(persist)) {}
-
-  std::unique_ptr<OmqCache> l1_;
-  std::unique_ptr<PersistentStore> persist_;
-  std::atomic<size_t> persist_hits_{0};
-  std::atomic<size_t> persist_writes_{0};
-  std::atomic<size_t> promotions_{0};
 };
 
 }  // namespace omqc

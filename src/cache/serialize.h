@@ -4,10 +4,10 @@
 // stable across processes and interning orders.
 //
 // kRhsEvaluator is deliberately NOT persistable: a prepared evaluator
-// holds closures and thread-pool plumbing with no meaningful on-disk
-// form. The tiered store simply never demotes that kind; it is recompiled
-// per process (cheap relative to the rewritings it consumes, which ARE
-// persisted).
+// holds process-local state (its EvalOptions carry the cache pointer)
+// with no meaningful on-disk form. The disk tier simply
+// never stores that kind; it is recompiled per process (cheap relative to
+// the rewritings it consumes, which ARE persisted).
 
 #ifndef OMQC_CACHE_SERIALIZE_H_
 #define OMQC_CACHE_SERIALIZE_H_
@@ -17,7 +17,7 @@
 
 #include "base/binary_io.h"
 #include "base/status.h"
-#include "cache/artifact_store.h"
+#include "cache/omq_cache.h"
 
 namespace omqc {
 
@@ -39,8 +39,8 @@ bool SerializeArtifact(ArtifactKind kind, const void* value, ByteWriter& out);
 
 /// A decoded artifact: the type-erased value (pointing at the type the
 /// cache's consumers expect for `kind`) plus the byte estimate to account
-/// it under — the same estimate the original Put would have used, so L1
-/// occupancy matches cold-computed entries exactly.
+/// it under — the same estimate the original Put would have used, so
+/// memory-tier occupancy matches cold-computed entries exactly.
 struct DecodedArtifact {
   std::shared_ptr<const void> value;
   size_t bytes = 0;

@@ -52,7 +52,7 @@ class RhsEvaluator {
   static Result<std::shared_ptr<const RhsEvaluator>> Make(
       const Omq& q2, const ContainmentOptions& options,
       EngineStats* stats = nullptr) {
-    ArtifactStore* cache = options.cache;
+    OmqCache* cache = options.cache;
     CacheCounters* counters = stats != nullptr ? &stats->cache : nullptr;
     CacheKey key;
     if (cache != nullptr) {

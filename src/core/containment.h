@@ -80,7 +80,7 @@ struct ContainmentOptions {
   /// the prepared RHS evaluator; also propagated into `eval.cache` when
   /// that is null. Shared safely across threads and calls; outcomes are
   /// identical with and without it (only compilation work is reused).
-  ArtifactStore* cache = nullptr;
+  OmqCache* cache = nullptr;
   /// Optional shared request governor (base/governor.h) bounding the whole
   /// containment request — LHS enumeration, freezing, and every RHS check
   /// — by wall-clock deadline, cooperative cancellation and memory budget.

@@ -257,8 +257,7 @@ Result<std::vector<std::vector<Term>>> EvalAll(const Omq& omq,
     if (options.cache != nullptr) {
       options.cache->Put<CachedChase>(chase_key, computed,
                                       computed->instance.MemoryBytes(),
-                                      cache_counters,
-                                      FingerprintTgdSet(omq.tgds));
+                                      cache_counters);
     }
     chase_entry = std::move(computed);
   }

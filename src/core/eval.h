@@ -20,7 +20,7 @@
 
 #include <vector>
 
-#include "cache/artifact_store.h"
+#include "cache/omq_cache.h"
 #include "chase/chase.h"
 #include "core/engine_stats.h"
 #include "core/omq.h"
@@ -46,11 +46,10 @@ struct EvalOptions {
   /// Rewriting budgets for the rewriting path.
   XRewriteOptions rewrite;
   /// Optional compilation cache consulted for ontology classification,
-  /// UCQ rewritings and complete chase results (null = no caching). Any
-  /// ArtifactStore: a plain OmqCache or a TieredStore with an on-disk
-  /// tier. Not owned; must outlive the call. Sharing one cache across
-  /// threads and calls is safe and is the point.
-  ArtifactStore* cache = nullptr;
+  /// UCQ rewritings and complete chase results (null = no caching),
+  /// memory-only or disk-backed. Not owned; must outlive the call.
+  /// Sharing one cache across threads and calls is safe and is the point.
+  OmqCache* cache = nullptr;
   /// Optional shared request governor (base/governor.h), threaded into
   /// every chase, rewriting and homomorphism search the evaluation runs.
   /// A trip surfaces as the trip status (kDeadlineExceeded / kCancelled /

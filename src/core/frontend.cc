@@ -109,17 +109,13 @@ Result<bool> ParseEngineFlag(const std::string& arg, EngineFlags* flags) {
   return false;
 }
 
-Result<std::unique_ptr<ArtifactStore>> MakeCacheFromFlags(
+Result<std::unique_ptr<OmqCache>> MakeCacheFromFlags(
     const EngineFlags& flags) {
-  if (!flags.cache) return std::unique_ptr<ArtifactStore>();
-  OmqCacheConfig l1{flags.cache_capacity, 8};
-  if (flags.cache_dir.empty()) {
-    return std::unique_ptr<ArtifactStore>(std::make_unique<OmqCache>(l1));
-  }
-  OMQC_ASSIGN_OR_RETURN(std::unique_ptr<TieredStore> store,
-                        TieredStore::Open(TieredStoreConfig{l1,
-                                                            flags.cache_dir}));
-  return std::unique_ptr<ArtifactStore>(std::move(store));
+  if (!flags.cache) return std::unique_ptr<OmqCache>();
+  OmqCacheConfig config;
+  config.capacity = flags.cache_capacity;
+  if (flags.cache_dir.empty()) return std::make_unique<OmqCache>(config);
+  return OmqCache::Open(config, flags.cache_dir);
 }
 
 void ApplyGovernorFlags(const EngineFlags& flags,

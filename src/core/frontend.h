@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "base/governor.h"
-#include "cache/persist.h"
+#include "cache/omq_cache.h"
 #include "core/containment.h"
 #include "core/omq.h"
 #include "tgd/parser.h"
@@ -58,11 +58,11 @@ Result<uint64_t> ParseUnsignedFlagValue(const std::string& flag,
 Result<bool> ParseEngineFlag(const std::string& arg, EngineFlags* flags);
 
 /// The process-wide compilation cache the flags ask for: null when
-/// --cache=off, a plain in-memory OmqCache by default, or a TieredStore
-/// warm-started from --cache-dir (created if absent). Fails only when the
-/// cache directory cannot be created — bad segment contents degrade to a
-/// cold cache, never to an error.
-Result<std::unique_ptr<ArtifactStore>> MakeCacheFromFlags(
+/// --cache=off, a memory-only OmqCache by default, or one warm-started
+/// from --cache-dir (created if absent). Fails only when the cache
+/// directory cannot be created — bad segment contents degrade to a cold
+/// cache, never to an error.
+Result<std::unique_ptr<OmqCache>> MakeCacheFromFlags(
     const EngineFlags& flags);
 
 /// Applies the deadline/memory flags to `governor`.

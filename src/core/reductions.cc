@@ -52,10 +52,8 @@ Result<EvalToContainmentInstance> EvalToContainment(
     to_vars.Bind(c, Term::Variable(StrCat("X@", c.ToString())));
   }
   ConjunctiveQuery canonical;
-  // Materializing iteration is fine here: this runs once per reduction
-  // and every atom is copied into the query body anyway.
-  for (const Atom& a : database.atoms()) {
-    canonical.body.push_back(to_vars.Apply(a));
+  for (AtomId id = 0; id < database.size(); ++id) {
+    canonical.body.push_back(to_vars.Apply(database.MaterializeAtom(id)));
   }
   for (const Term& c : tuple) {
     canonical.answer_vars.push_back(to_vars.Apply(c));
@@ -91,11 +89,10 @@ Result<EvalToCoContainmentInstance> EvalToCoContainment(
     starred.tgds.emplace_back(RenamePredicates(tgd.body, star),
                               RenamePredicates(tgd.head, star));
   }
-  // Materializing iteration is fine here: one pass per reduction, and
-  // each fact becomes an owned Atom inside a fact TGD regardless.
-  for (const Atom& fact : database.atoms()) {
-    starred.tgds.emplace_back(std::vector<Atom>{},
-                              std::vector<Atom>{RenamePredicate(fact, star)});
+  for (AtomId id = 0; id < database.size(); ++id) {
+    starred.tgds.emplace_back(
+        std::vector<Atom>{},
+        std::vector<Atom>{RenamePredicate(database.MaterializeAtom(id), star)});
   }
   // q*_c̄: answers instantiated, predicates starred; Boolean.
   Substitution instantiate;

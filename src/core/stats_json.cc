@@ -23,7 +23,6 @@ void AppendCacheCountersJson(JsonWriter& w, std::string_view key,
   w.Field("bytes_inserted", cache.bytes_inserted);
   w.Field("persist_hits", cache.persist_hits);
   w.Field("persist_writes", cache.persist_writes);
-  w.Field("promotions", cache.promotions);
   w.EndObject();
 }
 

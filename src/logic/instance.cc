@@ -206,23 +206,6 @@ std::pair<const AtomId*, const AtomId*> Instance::ArgIdRange(
   return PostingsIdRange(IdsWithArg(p, position, t), lo, hi);
 }
 
-std::vector<Atom> Instance::AtomsWith(Predicate p) const {
-  std::vector<Atom> out;
-  const std::vector<AtomId>& ids = IdsWith(p);
-  out.reserve(ids.size());
-  for (AtomId id : ids) out.push_back(MaterializeAtom(id));
-  return out;
-}
-
-std::vector<Atom> Instance::AtomsWithArg(Predicate p, int position,
-                                         const Term& t) const {
-  std::vector<Atom> out;
-  const std::vector<AtomId>& ids = IdsWithArg(p, position, t);
-  out.reserve(ids.size());
-  for (AtomId id : ids) out.push_back(MaterializeAtom(id));
-  return out;
-}
-
 std::vector<Term> Instance::ActiveDomain() const {
   // The term pool is exactly the multiset of all argument occurrences.
   std::set<Term> seen(term_pool_.begin(), term_pool_.end());
@@ -308,8 +291,8 @@ Database PrettifiedCopy(const Database& db, const std::string& prefix) {
   std::map<Term, Term> rename;
   int counter = 0;
   Database out;
-  for (const Atom& atom : db.atoms()) {
-    Atom copy = atom;
+  for (AtomId id = 0; id < db.size(); ++id) {
+    Atom copy = db.MaterializeAtom(id);
     for (Term& t : copy.args) {
       if (!t.IsConstant() || t.ToString().rfind('@', 0) != 0) continue;
       auto it = rename.find(t);

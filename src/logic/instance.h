@@ -9,9 +9,9 @@
 // stored exactly once in an append-only arena — one contiguous Term pool
 // plus a 12-byte {Predicate, offset, arity} record per atom — and every
 // side structure (dedup table, per-predicate and per-argument indexes,
-// insertion order) is a postings list of 32-bit atom ids. Hot paths read
-// atoms as AtomView spans via `view(id)` / `IdsWith*`; the materializing
-// accessors (`atoms()`, `AtomsWith*`) copy and are for cold paths only.
+// insertion order) is a postings list of 32-bit atom ids. Callers read
+// atoms as AtomView spans via `view(id)` / `IdsWith*`; `MaterializeAtom`
+// copies one out and is for cold paths only.
 //
 // Full-predicate sweeps additionally get a predicate-MAJOR mirror of the
 // terms (DESIGN.md "Postings kernels"): each predicate's postings carry a
@@ -43,8 +43,6 @@ class ByteReader;
 /// Index of an atom within one Instance's arena: dense, assigned in
 /// insertion order, stable for the lifetime of the instance.
 using AtomId = uint32_t;
-
-class AtomRange;
 
 /// One predicate's postings: the atom ids (ascending — ids are assigned in
 /// insertion order) plus a predicate-major packed mirror of the atoms'
@@ -157,11 +155,6 @@ class Instance {
   /// A materialized (owning) copy of the atom with the given id.
   Atom MaterializeAtom(AtomId id) const { return view(id).Materialize(); }
 
-  /// All atoms in insertion order, materialized lazily per element.
-  /// Iteration compiles with `for (const Atom& a : inst.atoms())`; hot
-  /// loops should iterate ids and call view() instead.
-  AtomRange atoms() const;
-
   /// Ids of atoms with the given predicate, in insertion order (empty if
   /// none). The homomorphism engine's fallback candidate list.
   const std::vector<AtomId>& IdsWith(Predicate p) const;
@@ -199,11 +192,6 @@ class Instance {
                                                      int position,
                                                      const Term& t, AtomId lo,
                                                      AtomId hi) const;
-
-  /// Materializing counterparts of IdsWith / IdsWithArg (cold paths).
-  std::vector<Atom> AtomsWith(Predicate p) const;
-  std::vector<Atom> AtomsWithArg(Predicate p, int position,
-                                 const Term& t) const;
 
   /// The active domain dom(I): all terms occurring in the instance.
   std::vector<Term> ActiveDomain() const;
@@ -339,57 +327,6 @@ class Instance {
   std::unordered_map<int32_t, PredicatePostings> by_predicate_;
   std::unordered_map<ArgKey, std::vector<AtomId>, ArgKeyHash> by_arg_;
 };
-
-/// Lazily materializing view over an Instance's atoms in insertion order.
-/// Dereferencing yields an owning Atom by value; `for (const Atom& a : r)`
-/// binds each to a loop-scoped temporary.
-class AtomRange {
- public:
-  class const_iterator {
-   public:
-    using iterator_category = std::input_iterator_tag;
-    using value_type = Atom;
-    using difference_type = std::ptrdiff_t;
-    using pointer = void;
-    using reference = Atom;
-
-    const_iterator(const Instance* inst, AtomId id) : inst_(inst), id_(id) {}
-    Atom operator*() const { return inst_->MaterializeAtom(id_); }
-    const_iterator& operator++() {
-      ++id_;
-      return *this;
-    }
-    const_iterator operator++(int) {
-      const_iterator out = *this;
-      ++id_;
-      return out;
-    }
-    bool operator==(const const_iterator& o) const { return id_ == o.id_; }
-    bool operator!=(const const_iterator& o) const { return id_ != o.id_; }
-
-   private:
-    const Instance* inst_;
-    AtomId id_;
-  };
-
-  explicit AtomRange(const Instance* inst) : inst_(inst) {}
-
-  const_iterator begin() const { return const_iterator(inst_, 0); }
-  const_iterator end() const {
-    return const_iterator(inst_, static_cast<AtomId>(inst_->size()));
-  }
-  size_t size() const { return inst_->size(); }
-  bool empty() const { return inst_->empty(); }
-  Atom front() const { return inst_->MaterializeAtom(0); }
-  Atom operator[](size_t i) const {
-    return inst_->MaterializeAtom(static_cast<AtomId>(i));
-  }
-
- private:
-  const Instance* inst_;
-};
-
-inline AtomRange Instance::atoms() const { return AtomRange(this); }
 
 /// Alias emphasizing intent at call sites that require null-free instances.
 using Database = Instance;

@@ -57,10 +57,8 @@ OmqServer::OmqServer(ServerConfig config)
   if (config_.cache_capacity > 0) {
     OmqCacheConfig cache_config;
     cache_config.capacity = config_.cache_capacity;
-    cache_config.num_shards = std::max<size_t>(1, config_.cache_shards);
     if (!config_.cache_dir.empty()) {
-      auto store =
-          TieredStore::Open(TieredStoreConfig{cache_config, config_.cache_dir});
+      auto store = OmqCache::Open(cache_config, config_.cache_dir);
       if (store.ok()) {
         cache_ = std::move(store).value();
       } else {

@@ -40,7 +40,7 @@
 #include "base/governor.h"
 #include "base/socket.h"
 #include "base/thread_pool.h"
-#include "cache/persist.h"
+#include "cache/omq_cache.h"
 #include "server/tenant.h"
 #include "server/wire.h"
 
@@ -53,7 +53,6 @@ struct ServerConfig {
   size_t worker_threads = 0;
   /// Shared compilation cache (0 capacity = caching off).
   size_t cache_capacity = 1024;
-  size_t cache_shards = 8;
   /// Persistent artifact store directory ("" = memory only). The server
   /// warm-starts the cache from it at boot and flushes new artifacts to
   /// it on drain; an unopenable directory degrades to memory-only with a
@@ -120,7 +119,7 @@ class OmqServer {
   std::string StatsJson() const;
 
   const ServerConfig& config() const { return config_; }
-  ArtifactStore* cache() { return cache_.get(); }
+  OmqCache* cache() { return cache_.get(); }
   ResourceGovernor* governor() { return &governor_; }
 
   /// Point-in-time per-tenant view (tenant.h TenantSnapshot).
@@ -156,7 +155,7 @@ class OmqServer {
 
   ServerConfig config_;
   ResourceGovernor governor_;  ///< server-wide root governor
-  std::unique_ptr<ArtifactStore> cache_;
+  std::unique_ptr<OmqCache> cache_;
   TenantRegistry tenants_;
   std::unique_ptr<ThreadPool> pool_;
 

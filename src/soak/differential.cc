@@ -57,7 +57,7 @@ Result<SoakVerdict> RunDifferential(const Program& program,
   SoakVerdict verdict;
   verdict.primary_class = PrimaryClass(program.tgds);
 
-  auto contain = [&](ArtifactStore* cache, ResourceGovernor* governor) {
+  auto contain = [&](OmqCache* cache, ResourceGovernor* governor) {
     ContainmentOptions copts;
     copts.rewrite.max_queries = options.rewrite_max_queries;
     // Secondary bounds for walk-tile rewritings whose CQs keep growing:
@@ -70,7 +70,7 @@ Result<SoakVerdict> RunDifferential(const Program& program,
     return CheckContainment(q1, q2, copts);
   };
 
-  auto eval_witness = [&](ArtifactStore* cache, ConfigOutcome* co) {
+  auto eval_witness = [&](OmqCache* cache, ConfigOutcome* co) {
     if (options.witness.empty()) return;
     EvalOptions eopts;
     eopts.cache = cache;
@@ -119,7 +119,7 @@ Result<SoakVerdict> RunDifferential(const Program& program,
 
   if (options.persist_cache != nullptr) {
     // Persistent-cache config: same engine, but the compilation cache is
-    // a TieredStore whose entries may have round-tripped through on-disk
+    // disk-backed and its entries may have round-tripped through on-disk
     // segments (the soak driver warm-reloads it between batches). A
     // decode bug shows up here as a verdict disagreement.
     ConfigOutcome co;

@@ -5,10 +5,11 @@
 // cache-off, governed-with-random-budgets (deadline/memory budgets and a
 // seeded FaultPlan; a trip or budget-starved kUnknown is retried
 // ungoverned, and the retry must reproduce the definite verdict), a
-// persistent-cache config over a TieredStore when one is supplied
-// (artifacts decoded from on-disk segments must agree with fresh
-// compilations), and — when a client is supplied — a live OmqServer. Eval of the certified
-// witness tuple runs on the cached and uncached configs. Every pair of
+// persistent-cache config over a disk-backed OmqCache when one is
+// supplied (artifacts decoded from on-disk segments must agree with fresh
+// compilations), and — when a client is supplied — a live OmqServer.
+// Eval of the certified witness tuple runs on the cached and uncached
+// configs. Every pair of
 // definite outcomes must agree, definite outcomes must match the
 // scenario's polarity oracle, the witness tuple must evaluate true, and
 // the ontology must satisfy its target class. kUnknown (budget-limited,
@@ -27,7 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/artifact_store.h"
+#include "cache/omq_cache.h"
 #include "core/containment.h"
 #include "server/client.h"
 #include "soak/scenario.h"
@@ -46,12 +47,12 @@ struct DifferentialOptions {
   bool with_cache_off = true;
   /// Shared compilation cache for the `cached` and governed configs (null
   /// = all configs effectively uncached).
-  ArtifactStore* cache = nullptr;
+  OmqCache* cache = nullptr;
   /// Persistent-cache config when non-null (not owned): containment over
-  /// a TieredStore, typically warm-reloaded between scenario batches by
-  /// the caller. Artifacts decoded from disk segments must
+  /// a disk-backed OmqCache, typically warm-reloaded between scenario
+  /// batches by the caller. Artifacts decoded from disk segments must
   /// yield the same verdict as freshly compiled ones.
-  ArtifactStore* persist_cache = nullptr;
+  OmqCache* persist_cache = nullptr;
   /// Run the governed config: random deadline/memory budgets plus a
   /// RandomFaultPlan drawn from this seed stream. 0 disables it.
   uint64_t fault_seed = 0;

@@ -11,7 +11,9 @@ namespace {
 
 std::vector<Atom> FactList(const Program& program) {
   std::vector<Atom> facts;
-  for (const Atom& atom : program.facts.atoms()) facts.push_back(atom);
+  for (AtomId id = 0; id < program.facts.size(); ++id) {
+    facts.push_back(program.facts.MaterializeAtom(id));
+  }
   return facts;
 }
 

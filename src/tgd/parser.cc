@@ -296,9 +296,8 @@ class Parser {
     for (const NamedQuery& nq : program.queries) {
       for (const Atom& a : nq.query.body) OMQC_RETURN_IF_ERROR(check(a));
     }
-    // Cold path (parse time): the materializing atoms() walk is fine.
-    for (const Atom& a : program.facts.atoms()) {
-      OMQC_RETURN_IF_ERROR(check(a));
+    for (AtomId id = 0; id < program.facts.size(); ++id) {
+      OMQC_RETURN_IF_ERROR(check(program.facts.MaterializeAtom(id)));
     }
     return Status::OK();
   }
@@ -399,9 +398,8 @@ std::string SerializeProgram(const Program& program) {
                             [](const Atom& a) { return a.ToString(); });
     out += ".\n";
   }
-  // Cold path (serialization): materializing atoms() walk is fine.
-  for (const Atom& fact : program.facts.atoms()) {
-    out += fact.ToString();
+  for (AtomId id = 0; id < program.facts.size(); ++id) {
+    out += program.facts.MaterializeAtom(id).ToString();
     out += ".\n";
   }
   return out;

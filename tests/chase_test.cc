@@ -48,12 +48,11 @@ TEST_P(ChaseStrategyTest, SingleStepCreatesNull) {
   EXPECT_EQ(result.steps, 1u);
   // The new atom holds a fresh null in the second position.
   bool found = false;
-  for (const Atom& a : result.instance.atoms()) {
-    if (a.predicate == Predicate::Get("R", 2)) {
-      EXPECT_EQ(a.args[0], Term::Constant("a"));
-      EXPECT_TRUE(a.args[1].IsNull());
-      found = true;
-    }
+  for (AtomId id : result.instance.IdsWith(Predicate::Get("R", 2))) {
+    AtomView a = result.instance.view(id);
+    EXPECT_EQ(a.arg(0), Term::Constant("a"));
+    EXPECT_TRUE(a.arg(1).IsNull());
+    found = true;
   }
   EXPECT_TRUE(found);
 }
@@ -91,9 +90,11 @@ TEST_P(ChaseStrategyTest, MultiHeadAtomsShareNulls) {
   EXPECT_TRUE(result.complete);
   // R(a,n) and P(n) with the same null n.
   Term null_in_r, null_in_p;
-  for (const Atom& a : result.instance.atoms()) {
-    if (a.predicate == Predicate::Get("R", 2)) null_in_r = a.args[1];
-    if (a.predicate == Predicate::Get("P", 1)) null_in_p = a.args[0];
+  for (AtomId id : result.instance.IdsWith(Predicate::Get("R", 2))) {
+    null_in_r = result.instance.view(id).arg(1);
+  }
+  for (AtomId id : result.instance.IdsWith(Predicate::Get("P", 1))) {
+    null_in_p = result.instance.view(id).arg(0);
   }
   EXPECT_TRUE(null_in_r.IsNull());
   EXPECT_EQ(null_in_r, null_in_p);

@@ -82,7 +82,8 @@ TEST(UnravelTest, BackHomomorphismIsSound) {
   Database db = Db("R(a,b). R(b,c). R(c,a).");
   auto unraveling = GuardedUnravel(db, {Term::Constant("a")}, 4).value();
   // Every atom of the unraveling maps back into D.
-  for (const Atom& atom : unraveling.instance.atoms()) {
+  for (AtomId id = 0; id < unraveling.instance.size(); ++id) {
+    Atom atom = unraveling.instance.MaterializeAtom(id);
     Atom mapped = unraveling.back_homomorphism.Apply(atom);
     EXPECT_TRUE(db.Contains(mapped)) << atom.ToString();
   }

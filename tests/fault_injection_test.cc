@@ -96,7 +96,8 @@ TEST(FaultInjectionTest, ChaseTruncatesSoundlyAtEveryFaultPoint) {
         EXPECT_EQ(result->instance.size(), reference.instance.size());
       }
       // Soundness: truncated or not, every atom is a real consequence.
-      for (const Atom& atom : result->instance.atoms()) {
+      for (AtomId id = 0; id < result->instance.size(); ++id) {
+        Atom atom = result->instance.MaterializeAtom(id);
         EXPECT_TRUE(reference.instance.Contains(atom))
             << "unsound atom " << atom.ToString() << " (fault at " << at
             << ")";
@@ -132,8 +133,8 @@ TEST(FaultInjectionTest, ChaseMemoryFaultStopsGrowthNotSoundness) {
       EXPECT_TRUE(result->complete);
       EXPECT_EQ(result->instance.size(), reference.instance.size());
     }
-    for (const Atom& atom : result->instance.atoms()) {
-      EXPECT_TRUE(reference.instance.Contains(atom));
+    for (AtomId id = 0; id < result->instance.size(); ++id) {
+      EXPECT_TRUE(reference.instance.Contains(result->instance.view(id)));
     }
   }
 }

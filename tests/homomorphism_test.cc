@@ -99,7 +99,7 @@ TEST(HomomorphismTest, PinnedEnumerationMatchesFullEnumerationOnWholeList) {
                       });
   // Pinning atom 0 to ALL R atoms is the identity decomposition.
   int pinned = 0;
-  ForEachHomomorphismPinned(q.body, 0, db.AtomsWith(Predicate::Get("R", 2)),
+  ForEachHomomorphismPinned(q.body, 0, db.IdsWith(Predicate::Get("R", 2)),
                             db, Substitution(), [&](const Substitution&) {
                               ++pinned;
                               return true;

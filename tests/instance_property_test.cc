@@ -3,13 +3,14 @@
 // Two suites:
 //
 //  * InstancePropertyTest — randomized instances, parameterized over the
-//    ACCESS PATH (materialized Atom accessors vs. arena AtomViews): the
-//    two paths must expose the identical relation, operator== must be
-//    symmetric, and re-adding atoms must be a no-op for the arena and
-//    every index (set semantics).
+//    ACCESS PATH (materialized Atoms from the packed mirror / windowed
+//    by-arg postings and Atom membership vs. id postings into arena
+//    AtomViews): the two paths must expose the identical relation,
+//    operator== must be symmetric, and re-adding atoms must be a no-op
+//    for the arena and every index (set semantics).
 //
-//  * InstanceIndexConsistencyTest — AtomsWith / AtomsWithArg and their
-//    id-posting twins must agree with a brute-force filter over atoms(),
+//  * InstanceIndexConsistencyTest — both access paths must agree with a
+//    brute-force filter over every atom,
 //    both on randomized instances and on a chase instance, next to
 //    containment checks that freeze and search many instances.
 
@@ -68,22 +69,46 @@ std::vector<Atom> RandomAtoms(Rng& rng, size_t n, int preds, int domain) {
 
 enum class AccessPath { kMaterialized, kArenaViews };
 
-/// The atoms of `inst` with predicate `p`, through the chosen access path.
+/// Every atom of `inst`, in insertion order.
+std::vector<Atom> AllAtoms(const Instance& inst) {
+  std::vector<Atom> out;
+  for (AtomId id = 0; id < inst.size(); ++id) {
+    out.push_back(inst.MaterializeAtom(id));
+  }
+  return out;
+}
+
+/// The atoms of `inst` with predicate `p`, through the chosen access path:
+/// the packed predicate-major mirror, or the id postings into the arena.
 std::vector<Atom> Enumerate(const Instance& inst, Predicate p,
                             AccessPath path) {
-  if (path == AccessPath::kMaterialized) return inst.AtomsWith(p);
   std::vector<Atom> out;
+  if (path == AccessPath::kMaterialized) {
+    PostingsSpan span = inst.Postings(p);
+    for (size_t j = 0; j < span.size(); ++j) {
+      out.push_back(span.view(j).Materialize());
+    }
+    return out;
+  }
   for (AtomId id : inst.IdsWith(p)) {
     out.push_back(inst.view(id).Materialize());
   }
   return out;
 }
 
-/// The atoms of `inst` with `t` at argument position `pos` of `p`.
+/// The atoms of `inst` with `t` at argument position `pos` of `p`: the
+/// by-arg postings windowed to the whole arena, or the full list.
 std::vector<Atom> EnumerateArg(const Instance& inst, Predicate p, int pos,
                                const Term& t, AccessPath path) {
-  if (path == AccessPath::kMaterialized) return inst.AtomsWithArg(p, pos, t);
   std::vector<Atom> out;
+  if (path == AccessPath::kMaterialized) {
+    auto [first, last] =
+        inst.ArgIdRange(p, pos, t, 0, static_cast<AtomId>(inst.size()));
+    for (const AtomId* id = first; id != last; ++id) {
+      out.push_back(inst.MaterializeAtom(*id));
+    }
+    return out;
+  }
   for (AtomId id : inst.IdsWithArg(p, pos, t)) {
     out.push_back(inst.view(id).Materialize());
   }
@@ -163,9 +188,7 @@ TEST_P(InstancePropertyTest, DuplicateAddIsNoOpForEveryIndex) {
 
   // Every index (predicate postings, per-argument postings, insertion
   // order) is unchanged, through the parameterized access path.
-  std::vector<Atom> order_once(once.atoms().begin(), once.atoms().end());
-  std::vector<Atom> order_twice(twice.atoms().begin(), twice.atoms().end());
-  EXPECT_EQ(order_once, order_twice);
+  EXPECT_EQ(AllAtoms(once), AllAtoms(twice));
   const Schema schema = once.InducedSchema();
   for (Predicate p : schema.predicates()) {
     EXPECT_EQ(Enumerate(once, p, GetParam()),
@@ -241,11 +264,11 @@ TEST(InstanceDeathTest, AddOfInvalidTermAssertsUnderDebug) {
 #endif
 
 /// Index consistency: every index must agree with a brute-force filter
-/// over atoms().
+/// over every atom.
 class InstanceIndexConsistencyTest : public ::testing::Test {
  protected:
   static void CheckIndexes(const Instance& inst) {
-    std::vector<Atom> all(inst.atoms().begin(), inst.atoms().end());
+    std::vector<Atom> all = AllAtoms(inst);
     ASSERT_EQ(all.size(), inst.size());
     const Schema schema = inst.InducedSchema();
     for (Predicate p : schema.predicates()) {
@@ -253,7 +276,7 @@ class InstanceIndexConsistencyTest : public ::testing::Test {
       for (const Atom& a : all) {
         if (a.predicate == p) brute.push_back(a);
       }
-      EXPECT_EQ(inst.AtomsWith(p), brute);
+      EXPECT_EQ(Enumerate(inst, p, AccessPath::kMaterialized), brute);
       EXPECT_EQ(Enumerate(inst, p, AccessPath::kArenaViews), brute);
       // The packed predicate-major mirror (Postings span) is a third copy
       // of the same relation and must agree entry-for-entry, including
@@ -273,7 +296,8 @@ class InstanceIndexConsistencyTest : public ::testing::Test {
               brute_arg.push_back(a);
             }
           }
-          EXPECT_EQ(inst.AtomsWithArg(p, pos, t), brute_arg);
+          EXPECT_EQ(EnumerateArg(inst, p, pos, t, AccessPath::kMaterialized),
+                    brute_arg);
           EXPECT_EQ(EnumerateArg(inst, p, pos, t, AccessPath::kArenaViews),
                     brute_arg);
         }

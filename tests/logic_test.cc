@@ -86,13 +86,12 @@ TEST(InstanceTest, AddDeduplicatesAndIndexes) {
   EXPECT_FALSE(inst.Add(r_ab));
   EXPECT_EQ(inst.size(), 1u);
   EXPECT_TRUE(inst.Contains(r_ab));
-  EXPECT_EQ(inst.AtomsWith(Predicate::Get("R", 2)).size(), 1u);
+  EXPECT_EQ(inst.IdsWith(Predicate::Get("R", 2)).size(), 1u);
   EXPECT_EQ(
-      inst.AtomsWithArg(Predicate::Get("R", 2), 0, Term::Constant("a"))
-          .size(),
+      inst.IdsWithArg(Predicate::Get("R", 2), 0, Term::Constant("a")).size(),
       1u);
   EXPECT_TRUE(
-      inst.AtomsWithArg(Predicate::Get("R", 2), 0, Term::Constant("b"))
+      inst.IdsWithArg(Predicate::Get("R", 2), 0, Term::Constant("b"))
           .empty());
 }
 
@@ -171,9 +170,9 @@ TEST(CQTest, FreezeProducesCanonicalDatabase) {
 TEST(CQTest, FreezeKeepsConstants) {
   ConjunctiveQuery q = ParseQuery("Q() :- R(X,a)").value();
   FrozenQuery frozen = Freeze(q);
-  const Atom& atom = frozen.database.atoms().front();
-  EXPECT_EQ(atom.args[1], Term::Constant("a"));
-  EXPECT_NE(atom.args[0], Term::Constant("a"));
+  AtomView atom = frozen.database.view(0);
+  EXPECT_EQ(atom.arg(1), Term::Constant("a"));
+  EXPECT_NE(atom.arg(0), Term::Constant("a"));
 }
 
 TEST(CQTest, ValidateRejectsUnboundAnswerVariable) {

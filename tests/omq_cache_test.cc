@@ -1,6 +1,6 @@
 // Unit tests for the sharded LRU cache (src/cache/omq_cache.h): hit/miss
-// bookkeeping, LRU eviction order, replacement, Clear, and concurrent
-// hammering from many threads.
+// bookkeeping, LRU eviction order, replacement, capacity clamping and
+// concurrent hammering from many threads.
 
 #include "cache/omq_cache.h"
 
@@ -87,18 +87,6 @@ TEST(OmqCacheTest, ReplaceUpdatesValueAndBytes) {
   EXPECT_EQ(cache.Stats().bytes, 4u);
   // Replacement does not count as a fresh insertion.
   EXPECT_EQ(cache.Stats().counters.insertions, 1u);
-}
-
-TEST(OmqCacheTest, ClearDropsEntriesKeepsCounters) {
-  OmqCache cache;
-  cache.Put<std::string>(KeyFor(1), Value("1"), 1);
-  cache.Put<std::string>(KeyFor(2), Value("2"), 1);
-  EXPECT_EQ(cache.size(), 2u);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Stats().bytes, 0u);
-  EXPECT_EQ(cache.Stats().counters.insertions, 2u);
-  EXPECT_EQ(cache.Get<std::string>(KeyFor(1)), nullptr);
 }
 
 TEST(OmqCacheTest, CapacityClampsAndShardsSplit) {

@@ -5,10 +5,10 @@
 //     factory scenarios;
 //   * the arena snapshot reproduces the instance exactly — same atoms,
 //     same indexes, same answers;
-//   * a second TieredStore over the same directory serves compilations
-//     from disk (persist hits, zero recompilation) with byte-identical
-//     verdicts;
-//   * invalidation drops exactly the artifacts of the changed tgd set;
+//   * a second disk-backed OmqCache over the same directory serves
+//     compilations from disk (persist hits, zero recompilation) with
+//     byte-identical verdicts, as does the same cache after evicting
+//     them from memory;
 //   * corruption (every single-bit flip, every truncation point) and
 //     foreign format versions degrade to a cold compile — never a crash,
 //     never a wrong artifact.
@@ -299,9 +299,9 @@ TEST(SnapshotTest, RestoreIsTotalOnGarbage) {
 }
 
 // ---------------------------------------------------------------------------
-// TieredStore warm start.
+// Disk-backed OmqCache warm start.
 
-TEST(TieredStoreTest, SecondStoreServesCompilationsFromDisk) {
+TEST(DiskBackedCacheTest, SecondStoreServesCompilationsFromDisk) {
   std::string dir = FreshDir("warm");
   Omq q1 = MakeOmq(S({{"Edge", 2}, {"Conn", 2}}),
                    "Edge(X,Y) -> Conn(X,Y).",
@@ -311,7 +311,7 @@ TEST(TieredStoreTest, SecondStoreServesCompilationsFromDisk) {
 
   std::string cold_report;
   {
-    auto store = TieredStore::Open(TieredStoreConfig{{}, dir});
+    auto store = OmqCache::Open(OmqCacheConfig(), dir);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     ContainmentOptions options;
     options.cache = store->get();
@@ -322,7 +322,7 @@ TEST(TieredStoreTest, SecondStoreServesCompilationsFromDisk) {
     (*store)->Flush();
   }
 
-  auto warm_store = TieredStore::Open(TieredStoreConfig{{}, dir});
+  auto warm_store = OmqCache::Open(OmqCacheConfig(), dir);
   ASSERT_TRUE(warm_store.ok());
   EXPECT_GT((*warm_store)->Stats().persist_entries, 0u);
   ContainmentOptions options;
@@ -336,7 +336,7 @@ TEST(TieredStoreTest, SecondStoreServesCompilationsFromDisk) {
   EXPECT_EQ(result->stats.rewrite.queries_generated, 0u);
 }
 
-TEST(TieredStoreTest, WarmStartAgreesOnFactoryScenarios) {
+TEST(DiskBackedCacheTest, WarmStartAgreesOnFactoryScenarios) {
   // Cold vs warm-from-disk containment over factory scenarios of every
   // class: outcome and full report must be byte-identical.
   const TgdClass classes[] = {TgdClass::kLinear, TgdClass::kSticky,
@@ -354,7 +354,7 @@ TEST(TieredStoreTest, WarmStartAgreesOnFactoryScenarios) {
     ASSERT_TRUE(q2.ok());
     std::string dir =
         FreshDir(std::string("scen_") + TgdClassToString(cls));
-    auto contain = [&](ArtifactStore* cache) {
+    auto contain = [&](OmqCache* cache) {
       ContainmentOptions options;
       options.rewrite.max_queries = 120;
       options.rewrite.max_steps = 20000;
@@ -364,14 +364,14 @@ TEST(TieredStoreTest, WarmStartAgreesOnFactoryScenarios) {
     };
     std::string cold_report;
     {
-      auto store = TieredStore::Open(TieredStoreConfig{{}, dir});
+      auto store = OmqCache::Open(OmqCacheConfig(), dir);
       ASSERT_TRUE(store.ok());
       auto cold = contain(store->get());
       ASSERT_TRUE(cold.ok());
       cold_report = FormatContainmentReport("Q1", "Q2", *cold);
       (*store)->Flush();
     }
-    auto warm_store = TieredStore::Open(TieredStoreConfig{{}, dir});
+    auto warm_store = OmqCache::Open(OmqCacheConfig(), dir);
     ASSERT_TRUE(warm_store.ok());
     auto warm = contain(warm_store->get());
     ASSERT_TRUE(warm.ok());
@@ -380,7 +380,7 @@ TEST(TieredStoreTest, WarmStartAgreesOnFactoryScenarios) {
   }
 }
 
-TEST(TieredStoreTest, ChaseResultsWarmStartAcrossStores) {
+TEST(DiskBackedCacheTest, ChaseResultsWarmStartAcrossStores) {
   // Full + non-recursive ontology: EvalAll takes the chase path and the
   // saturated instance snapshot must round-trip through the store.
   std::string dir = FreshDir("chase");
@@ -392,7 +392,7 @@ TEST(TieredStoreTest, ChaseResultsWarmStartAcrossStores) {
 
   std::vector<std::vector<Term>> cold_answers;
   {
-    auto store = TieredStore::Open(TieredStoreConfig{{}, dir});
+    auto store = OmqCache::Open(OmqCacheConfig(), dir);
     ASSERT_TRUE(store.ok());
     EvalOptions options;
     options.cache = store->get();
@@ -401,7 +401,7 @@ TEST(TieredStoreTest, ChaseResultsWarmStartAcrossStores) {
     cold_answers = *answers;
     (*store)->Flush();
   }
-  auto warm_store = TieredStore::Open(TieredStoreConfig{{}, dir});
+  auto warm_store = OmqCache::Open(OmqCacheConfig(), dir);
   ASSERT_TRUE(warm_store.ok());
   EvalOptions options;
   options.cache = warm_store->get();
@@ -413,38 +413,35 @@ TEST(TieredStoreTest, ChaseResultsWarmStartAcrossStores) {
   EXPECT_EQ(stats.chase_steps, 0u) << "warm run re-chased";
 }
 
-TEST(TieredStoreTest, InvalidateTgdSetDropsOnlyThatOntology) {
-  std::string dir = FreshDir("invalidate");
-  TgdSet sigma_a = ParseTgds("A(X) -> B(X).").value();
-  TgdSet sigma_b = ParseTgds("C(X) -> D(X).").value();
-  Omq qa = MakeOmq(S({{"A", 1}, {"B", 1}}), "A(X) -> B(X).",
-                   "Q(X) :- B(X)");
-  Omq qb = MakeOmq(S({{"C", 1}, {"D", 1}}), "C(X) -> D(X).",
-                   "Q(X) :- D(X)");
-  {
-    auto store = TieredStore::Open(TieredStoreConfig{{}, dir});
-    ASSERT_TRUE(store.ok());
-    ContainmentOptions options;
-    options.cache = store->get();
-    ASSERT_TRUE(CheckContainment(qa, qa, options).ok());
-    ASSERT_TRUE(CheckContainment(qb, qb, options).ok());
-    // Ontology A changed: drop its artifacts, keep B's warm.
-    (*store)->InvalidateTgdSet(FingerprintTgdSet(sigma_a));
-    (*store)->Flush();
-  }
-  auto store = TieredStore::Open(TieredStoreConfig{{}, dir});
-  ASSERT_TRUE(store.ok());
+TEST(DiskBackedCacheTest, EvictedRewritingIsServedFromDiskInProcess) {
+  // Capacity 1: every insert evicts the previous entry from memory, so the
+  // second request finds its rewriting only in the disk tier.
+  std::string dir = FreshDir("evicted");
+  Omq q1 = MakeOmq(S({{"Edge", 2}, {"Conn", 2}}),
+                   "Edge(X,Y) -> Conn(X,Y).",
+                   "Q(X) :- Conn(X,Y), Conn(Y,Z)");
+  Omq q2 = MakeOmq(S({{"Edge", 2}, {"Conn", 2}}),
+                   "Edge(X,Y) -> Conn(X,Y).", "Q(X) :- Conn(X,Y)");
+  Omq other = MakeOmq(S({{"C", 1}, {"D", 1}}), "C(X) -> D(X).",
+                      "Q(X) :- D(X)");
+  auto cache = OmqCache::Open(OmqCacheConfig{1, 1}, dir);
+  ASSERT_TRUE(cache.ok()) << cache.status().ToString();
   ContainmentOptions options;
-  options.cache = store->get();
-  auto b = CheckContainment(qb, qb, options);
-  ASSERT_TRUE(b.ok());
-  EXPECT_GT(b->stats.cache.persist_hits, 0u) << "B's artifacts were dropped";
-  auto a = CheckContainment(qa, qa, options);
-  ASSERT_TRUE(a.ok());
-  EXPECT_GT(a->stats.rewrite.queries_generated, 0u)
-      << "A's artifacts survived invalidation";
-  // The tombstone is durable: a third store still misses A.
-  (void)sigma_b;
+  options.cache = cache->get();
+
+  auto cold = CheckContainment(q1, q2, options);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_GT(cold->stats.rewrite.queries_generated, 0u);
+  // An unrelated request pushes every artifact of the first out of memory.
+  ASSERT_TRUE(CheckContainment(other, other, options).ok());
+  EXPECT_EQ((*cache)->size(), 1u);
+
+  auto warm = CheckContainment(q1, q2, options);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(FormatContainmentReport("Q1", "Q2", *warm),
+            FormatContainmentReport("Q1", "Q2", *cold));
+  EXPECT_GT(warm->stats.cache.persist_hits, 0u);
+  EXPECT_EQ(warm->stats.rewrite.queries_generated, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -460,8 +457,8 @@ std::vector<CacheKey> SeedStore(const std::string& dir,
   CacheKey k2{Fingerprint{0x3333, 0x4444}, 9, ArtifactKind::kClassification};
   *payload1 = "the first payload";
   *payload2 = "a second, slightly longer payload";
-  (*store)->Append(k1, Fingerprint{1, 1}, kArtifactPayloadVersion, *payload1);
-  (*store)->Append(k2, Fingerprint{2, 2}, kArtifactPayloadVersion, *payload2);
+  (*store)->Append(k1, kArtifactPayloadVersion, *payload1);
+  (*store)->Append(k2, kArtifactPayloadVersion, *payload2);
   EXPECT_TRUE((*store)->Flush().ok());
   return {k1, k2};
 }
@@ -569,7 +566,7 @@ TEST(CorruptionTest, ForeignPayloadVersionIsInvisible) {
   {
     auto store = PersistentStore::Open(dir);
     ASSERT_TRUE(store.ok());
-    (*store)->Append(key, Fingerprint{}, kArtifactPayloadVersion + 1,
+    (*store)->Append(key, kArtifactPayloadVersion + 1,
                      "from the future");
     ASSERT_TRUE((*store)->Flush().ok());
   }
@@ -583,7 +580,7 @@ TEST(CorruptionTest, ForeignPayloadVersionIsInvisible) {
 
 TEST(CorruptionTest, UndecodablePayloadFallsBackToColdCompile) {
   // A record that passes every checksum but holds garbage (an encoder bug,
-  // not disk rot): the tiered store must miss, not crash or serve junk.
+  // not disk rot): the disk-backed cache must miss, not crash or serve junk.
   std::string dir = FreshDir("badpayload");
   Omq omq = MakeOmq(S({{"Edge", 2}, {"Conn", 2}}),
                     "Edge(X,Y) -> Conn(X,Y).", "Q(X) :- Conn(X,Y)");
@@ -593,14 +590,14 @@ TEST(CorruptionTest, UndecodablePayloadFallsBackToColdCompile) {
   {
     auto store = PersistentStore::Open(dir);
     ASSERT_TRUE(store.ok());
-    (*store)->Append(key, Fingerprint{}, kArtifactPayloadVersion,
+    (*store)->Append(key, kArtifactPayloadVersion,
                      "not a rewriting");
     ASSERT_TRUE((*store)->Flush().ok());
   }
-  auto tiered = TieredStore::Open(TieredStoreConfig{{}, dir});
-  ASSERT_TRUE(tiered.ok());
+  auto cache = OmqCache::Open(OmqCacheConfig(), dir);
+  ASSERT_TRUE(cache.ok());
   ContainmentOptions options;
-  options.cache = tiered->get();
+  options.cache = cache->get();
   auto result = CheckContainment(omq, omq, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->outcome, ContainmentOutcome::kContained);
