@@ -11,7 +11,7 @@ cd "$(dirname "$0")/.."
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)"
 if [ "$#" -eq 0 ]; then
-  set -- -R 'base_test|governor_test|fault_injection_test|cache_integration_test|omq_cache_test|instance_property_test|emptiness_agreement_test|server_test' \
+  set -- -R 'base_test|governor_test|fault_injection_test|cache_integration_test|omq_cache_test|instance_property_test|server_test' \
     --repeat until-fail:20
 fi
 ctest --preset tsan -j"$(nproc)" "$@"

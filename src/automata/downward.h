@@ -25,11 +25,9 @@ namespace omqc {
 
 class ResourceGovernor;
 
-/// Budgets for downward emptiness: the subset construction here and the
-/// antichain engine (automata/emptiness.h).
+/// Budgets for the subset construction below.
 struct DownwardOptions {
-  /// Maximum number of reachable obligation sets (NTA states, or interned
-  /// sets for the antichain engine).
+  /// Maximum number of reachable obligation sets (NTA states).
   size_t max_states = 4096;
   /// Maximum number of DNF disjuncts per conjoined transition formula.
   size_t max_disjuncts = 4096;
@@ -40,7 +38,7 @@ struct DownwardOptions {
   /// Optional shared request governor (base/governor.h), checked once per
   /// worklist item and per label expansion; a trip surfaces as its trip
   /// status (kDeadlineExceeded / kCancelled / kResourceExhausted) from
-  /// DownwardToNta/DownwardIsEmpty/DownwardEmptiness. Not owned.
+  /// DownwardToNta/DownwardIsEmpty. Not owned.
   ResourceGovernor* governor = nullptr;
 };
 

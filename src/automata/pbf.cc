@@ -1,7 +1,5 @@
 #include "automata/pbf.h"
 
-#include <algorithm>
-
 #include "base/string_util.h"
 
 namespace omqc {
@@ -132,109 +130,6 @@ Formula Diamond(Move move, int state) {
 
 Formula Box(Move move, int state) {
   return Formula::Atom(TransitionAtom{move, /*universal=*/true, state});
-}
-
-bool DisjunctSubsumes(const DownwardDisjunct& a, const DownwardDisjunct& b) {
-  return a.existential.size() <= b.existential.size() &&
-         a.universal.size() <= b.universal.size() &&
-         std::includes(b.existential.begin(), b.existential.end(),
-                       a.existential.begin(), a.existential.end()) &&
-         std::includes(b.universal.begin(), b.universal.end(),
-                       a.universal.begin(), a.universal.end());
-}
-
-void AddMinimized(std::vector<DownwardDisjunct>& out, DownwardDisjunct d) {
-  size_t keep = 0;
-  for (size_t i = 0; i < out.size(); ++i) {
-    if (DisjunctSubsumes(out[i], d)) return;  // already covered
-    if (DisjunctSubsumes(d, out[i])) continue;  // evict the subsumed
-    if (keep != i) out[keep] = std::move(out[i]);  // no self-move
-    ++keep;
-  }
-  out.resize(keep);
-  out.push_back(std::move(d));
-}
-
-namespace {
-
-/// Merges two sorted duplicate-free lists into a sorted duplicate-free
-/// union.
-std::vector<int> SortedUnion(const std::vector<int>& a,
-                             const std::vector<int>& b) {
-  std::vector<int> out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
-}  // namespace
-
-Result<const std::vector<DownwardDisjunct>*> DownwardDnfCache::MinimalModels(
-    const Formula& f, size_t max_disjuncts) {
-  auto it = memo_.find(f.id());
-  if (it != memo_.end()) {
-    ++hits_;
-    return &it->second.models;
-  }
-  ++misses_;
-  std::vector<DownwardDisjunct> models;
-  switch (f.kind()) {
-    case Formula::Kind::kTrue:
-      models.push_back(DownwardDisjunct{});
-      break;
-    case Formula::Kind::kFalse:
-      break;
-    case Formula::Kind::kAtom: {
-      const TransitionAtom& atom = f.atom();
-      if (atom.move != Move::kChild) {
-        return Status::Unsupported(
-            "only downward (child-moving) automata have obligation DNFs");
-      }
-      DownwardDisjunct d;
-      (atom.universal ? d.universal : d.existential).push_back(atom.state);
-      models.push_back(std::move(d));
-      break;
-    }
-    case Formula::Kind::kAnd: {
-      OMQC_ASSIGN_OR_RETURN(const std::vector<DownwardDisjunct>* left,
-                            MinimalModels(f.left(), max_disjuncts));
-      OMQC_ASSIGN_OR_RETURN(const std::vector<DownwardDisjunct>* right,
-                            MinimalModels(f.right(), max_disjuncts));
-      for (const DownwardDisjunct& a : *left) {
-        for (const DownwardDisjunct& b : *right) {
-          AddMinimized(models,
-                       DownwardDisjunct{
-                           SortedUnion(a.existential, b.existential),
-                           SortedUnion(a.universal, b.universal)});
-          if (models.size() > max_disjuncts) {
-            return Status::ResourceExhausted("DNF blow-up");
-          }
-        }
-      }
-      break;
-    }
-    case Formula::Kind::kOr: {
-      OMQC_ASSIGN_OR_RETURN(const std::vector<DownwardDisjunct>* left,
-                            MinimalModels(f.left(), max_disjuncts));
-      OMQC_ASSIGN_OR_RETURN(const std::vector<DownwardDisjunct>* right,
-                            MinimalModels(f.right(), max_disjuncts));
-      models = *left;
-      for (const DownwardDisjunct& b : *right) {
-        AddMinimized(models, b);
-        if (models.size() > max_disjuncts) {
-          return Status::ResourceExhausted("DNF blow-up");
-        }
-      }
-      break;
-    }
-  }
-  // Note: recursive MinimalModels calls above may have rehashed memo_;
-  // unordered_map references stay valid, but insert AFTER the recursion.
-  auto [slot, inserted] =
-      memo_.emplace(f.id(), Entry{f, std::move(models)});
-  (void)inserted;
-  return &slot->second.models;
 }
 
 }  // namespace omqc

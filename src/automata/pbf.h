@@ -1,8 +1,5 @@
-// Positive Boolean formulas B+(X) over transition atoms (Def. 10), plus
-// the memoized minimal-model DNF used by the emptiness engines: a
-// positive formula is equivalent to the disjunction of its ⊆-minimal
-// models, and for downward (child-moving) formulas each minimal model is
-// exactly one obligation disjunct of the subset construction.
+// Positive Boolean formulas B+(X) over transition atoms (Def. 10): the
+// transition-function codomain of the 2WAPAs in automata/twapa.h.
 
 #ifndef OMQC_AUTOMATA_PBF_H_
 #define OMQC_AUTOMATA_PBF_H_
@@ -10,10 +7,7 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
-
-#include "base/status.h"
 
 namespace omqc {
 
@@ -52,12 +46,6 @@ class Formula {
   const Formula& left() const { return *node_->left; }
   const Formula& right() const { return *node_->right; }
 
-  /// Stable identity of the underlying (immutable, shared) formula node:
-  /// copies of one Formula share it. Used as a memoization key; only
-  /// meaningful while some copy of the formula is alive (the node address
-  /// can be recycled after the last copy dies — caches pin a copy).
-  const void* id() const { return node_.get(); }
-
   /// Evaluates the formula under a valuation of its transition atoms.
   bool Evaluate(
       const std::function<bool(const TransitionAtom&)>& valuation) const;
@@ -87,53 +75,6 @@ class Formula {
 /// in {-1,0,*} to state s; □s = the corresponding universal version.
 Formula Diamond(Move move, int state);
 Formula Box(Move move, int state);
-
-/// One minimal model of a downward transition formula, i.e. one obligation
-/// disjunct of the subset construction: the existential obligations
-/// (⟨*⟩s — each needs some child) and the universal ones ([*]s — imposed
-/// on every child). Both lists are sorted ascending and duplicate-free.
-struct DownwardDisjunct {
-  std::vector<int> existential;
-  std::vector<int> universal;
-};
-
-/// True iff `a` subsumes `b` as a disjunct of a positive DNF: a's
-/// obligations are a subset of b's, so any tree satisfying b satisfies a
-/// and b can be dropped from the disjunction.
-bool DisjunctSubsumes(const DownwardDisjunct& a, const DownwardDisjunct& b);
-
-/// Appends `d` to the ⊆-minimized disjunct list `out`: dropped when an
-/// existing disjunct subsumes it, and evicts the ones it subsumes.
-void AddMinimized(std::vector<DownwardDisjunct>& out, DownwardDisjunct d);
-
-/// Memoized formula → minimal-model computation for downward formulas.
-/// The cache is keyed by Formula node identity (Formula::id) and pins a
-/// copy of every memoized formula, so node addresses stay unique for the
-/// cache's lifetime and repeated transition evaluations short-circuit to
-/// a lookup. Not thread-safe: the emptiness engine keeps one cache per
-/// worker.
-class DownwardDnfCache {
- public:
-  /// The ⊆-minimal disjuncts of `f`'s DNF. Empty vector = unsatisfiable
-  /// (false); a single all-empty disjunct = true. Returns Unsupported for
-  /// up/stay atoms, ResourceExhausted when a product exceeds
-  /// `max_disjuncts` before minimization brings it back under.
-  Result<const std::vector<DownwardDisjunct>*> MinimalModels(
-      const Formula& f, size_t max_disjuncts);
-
-  size_t size() const { return memo_.size(); }
-  size_t hits() const { return hits_; }
-  size_t misses() const { return misses_; }
-
- private:
-  struct Entry {
-    Formula pin;  ///< keeps the node (and thus the key) alive
-    std::vector<DownwardDisjunct> models;
-  };
-  std::unordered_map<const void*, Entry> memo_;
-  size_t hits_ = 0;
-  size_t misses_ = 0;
-};
 
 }  // namespace omqc
 

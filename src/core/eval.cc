@@ -260,6 +260,16 @@ Result<std::vector<std::vector<Term>>> EvalAll(const Omq& omq,
                                       cache_counters);
     }
     chase_entry = std::move(computed);
+  } else if (options.governor != nullptr) {
+    // A hit charges the growth the cold chase charged (the saturated
+    // instance's bytes over the database baseline), so the status under a
+    // memory budget does not depend on who warmed the cache.
+    const size_t saturated = chase_entry->instance.MemoryBytes();
+    const size_t baseline = database.MemoryBytes();
+    if (saturated > baseline) {
+      OMQC_RETURN_IF_ERROR(
+          options.governor->ChargeBytes(saturated - baseline));
+    }
   }
   // On a hit no chase ran: the chase counters stay untouched (EngineStats
   // counters mean work performed; the saved chase shows up in `cache`).

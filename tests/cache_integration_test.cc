@@ -242,6 +242,66 @@ TEST(CacheEvalTest, TrippedGovernorRunsAreNotCached) {
   EXPECT_EQ(warm_stats.rewrite.queries_generated, 0u);
 }
 
+TEST(CacheEvalTest, GovernedChaseStatusIgnoresCacheTemperature) {
+  // A 300-edge chain under a datalog rule: the chase derives A along the
+  // whole chain. Under a memory budget, a request must get the same
+  // status whether it chases cold or hits a chase some unbudgeted request
+  // cached.
+  Schema schema = S({{"R", 2}, {"A", 1}});
+  Omq omq = MakeOmq(schema, "R(X,Y), A(Y) -> A(X).", "Q(X) :- A(X)");
+  Database db;
+  const int kEdges = 300;
+  for (int i = 0; i < kEdges; ++i) {
+    db.Add(Atom::Make("R", {Term::Constant(StrCat("c", i)),
+                            Term::Constant(StrCat("c", i + 1))}));
+  }
+  db.Add(Atom::Make("A", {Term::Constant(StrCat("c", kEdges))}));
+
+  // budget_bytes 0 = unbudgeted.
+  auto governed_eval = [&](OmqCache& cache, size_t budget_bytes,
+                           EngineStats* stats) {
+    ResourceGovernor governor;
+    governor.set_memory_budget(budget_bytes);
+    EvalOptions options;
+    options.strategy = EvalOptions::Strategy::kChase;
+    options.cache = &cache;
+    options.governor = &governor;
+    return EvalAll(omq, db, options, stats);
+  };
+
+  // The saturated chase grows the instance by more than 8 KiB: the two
+  // small budgets trip, the large one does not.
+  const std::pair<size_t, bool> kBudgets[] = {
+      {size_t{1} << 10, false}, {size_t{8} << 10, false},
+      {size_t{16} << 20, true}};
+  for (const auto& [budget, fits] : kBudgets) {
+    const std::string context = StrCat("budget=", budget);
+    OmqCache cold_cache;
+    auto cold = governed_eval(cold_cache, budget, nullptr);
+    ASSERT_EQ(cold.ok(), fits) << context << ": " << cold.status().ToString();
+
+    OmqCache warm_cache;
+    auto warmer = governed_eval(warm_cache, /*budget_bytes=*/0, nullptr);
+    ASSERT_TRUE(warmer.ok()) << warmer.status().ToString();
+    ASSERT_EQ(warmer->size(), static_cast<size_t>(kEdges + 1));
+    EngineStats warm_stats;
+    auto warm = governed_eval(warm_cache, budget, &warm_stats);
+    EXPECT_GT(warm_stats.cache.hits, 0u) << context;
+
+    ASSERT_EQ(cold.ok(), warm.ok())
+        << context << ": cold " << cold.status().ToString() << " vs warm "
+        << warm.status().ToString();
+    if (cold.ok()) {
+      EXPECT_EQ(Sorted(*cold), Sorted(*warm)) << context;
+      EXPECT_EQ(cold->size(), static_cast<size_t>(kEdges + 1)) << context;
+    } else {
+      EXPECT_EQ(cold.status().code(), StatusCode::kResourceExhausted)
+          << context;
+      EXPECT_EQ(warm.status().code(), cold.status().code()) << context;
+    }
+  }
+}
+
 TEST(CacheEvalTest, DifferentBudgetsNeverAlias) {
   OmqCache cache;
   const char kSigma[] = "A(X) -> B(X). B(X) -> Succ(X,Y), A(Y).";
