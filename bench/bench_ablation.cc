@@ -4,9 +4,7 @@
 //     containment enumeration: turns divergence into saturation on
 //     guarded ontologies, and its overhead on already-terminating cases;
 //   * per-CQ minimization (query elimination, [40]): required for sticky
-//     termination; overhead on linear workloads;
-//   * rewriting-based vs chase-based evaluation on workloads where both
-//     are exact.
+//     termination; overhead on linear workloads.
 
 #include <benchmark/benchmark.h>
 
@@ -174,36 +172,6 @@ void BM_MinimizationOnStickyTerminates(benchmark::State& state) {
   state.counters["disjuncts"] = static_cast<double>(disjuncts);
 }
 BENCHMARK(BM_MinimizationOnStickyTerminates);
-
-/// Evaluation strategy ablation on a workload where both are exact.
-void BM_EvalStrategy(benchmark::State& state) {
-  bool use_chase = state.range(0) == 1;
-  Schema schema = MakeSchema({{"R", 2}, {"A", 1}, {"B", 1}});
-  Omq q{schema,
-        ParseTgds("R(X,Y) -> Conn(X,Y). A(X) -> Start(X).").value(),
-        ParseQuery("Q(X) :- Start(X), Conn(X,Y)").value()};
-  Database db;
-  for (int i = 0; i < 128; ++i) {
-    db.Add(Atom::Make("R", {Term::Constant("c" + std::to_string(i)),
-                            Term::Constant("c" + std::to_string(i + 1))}));
-    if (i % 8 == 0) {
-      db.Add(Atom::Make("A", {Term::Constant("c" + std::to_string(i))}));
-    }
-  }
-  EvalOptions options;
-  options.strategy = use_chase ? EvalOptions::Strategy::kChase
-                               : EvalOptions::Strategy::kRewrite;
-  for (auto _ : state) {
-    auto answers = EvalAll(q, db, options);
-    if (!answers.ok()) {
-      state.SkipWithError("eval failed");
-      return;
-    }
-    benchmark::DoNotOptimize(answers->size());
-  }
-  state.SetLabel(use_chase ? "chase" : "rewrite");
-}
-BENCHMARK(BM_EvalStrategy)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace omqc

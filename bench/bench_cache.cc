@@ -2,11 +2,14 @@
 //
 // Three questions:
 //   1. How expensive is canonicalization itself (fingerprint cost per
-//      query, scaling in query size)?
+//      query, scaling in query size), and how does a tgd-set fingerprint
+//      compare with classifying the set outright (why classifications are
+//      not cached)?
 //   2. Warm vs cold compilation: how much does a populated cache save on
-//      the rewriting path of evaluation and on repeated containment
-//      checks? (EXPERIMENTS.md records the warm/cold ratio; the design
-//      target is >= 5x on rewriting-dominated workloads.)
+//      the rewriting path of evaluation (CachedXRewrite + EvaluateUCQ) and
+//      on repeated containment checks? (EXPERIMENTS.md records the
+//      warm/cold ratio; the design target is >= 5x on rewriting-dominated
+//      workloads.)
 //   3. What does cache bookkeeping cost when every lookup misses
 //      (fingerprint + shard lock on top of the compilation)?
 
@@ -15,10 +18,13 @@
 #include <string>
 
 #include "bench_util.h"
+#include "cache/cached_ops.h"
 #include "cache/canonical.h"
 #include "cache/omq_cache.h"
 #include "core/containment.h"
 #include "generators/families.h"
+#include "logic/homomorphism.h"
+#include "tgd/classify.h"
 
 namespace omqc {
 namespace {
@@ -58,6 +64,20 @@ Database HierarchyDb(int facts) {
   return db;
 }
 
+/// The rewriting path of evaluation, spelled out (the hierarchy is full,
+/// so EvalAll itself would chase): fetch or compute the UCQ rewriting
+/// through `cache` (null = no caching), then evaluate it over `db`.
+/// Returns the answer count.
+Result<size_t> RewriteAndEvaluate(OmqCache* cache, const Omq& omq,
+                                  const Database& db,
+                                  CacheCounters* counters = nullptr) {
+  OMQC_ASSIGN_OR_RETURN(
+      std::shared_ptr<const UnionOfCQs> rewriting,
+      CachedXRewrite(cache, omq.data_schema, omq.tgds, omq.query,
+                     XRewriteOptions(), nullptr, counters));
+  return EvaluateUCQ(*rewriting, db).size();
+}
+
 void BM_FingerprintCQ(benchmark::State& state) {
   int len = static_cast<int>(state.range(0));
   ConjunctiveQuery q = bench::ChainQuery("R", len);
@@ -78,21 +98,31 @@ void BM_FingerprintTgdSet(benchmark::State& state) {
 }
 BENCHMARK(BM_FingerprintTgdSet)->RangeMultiplier(2)->Range(2, 32)->Complexity();
 
+/// Classifying the same sets outright: what a classification-cache hit
+/// would have to beat on top of BM_FingerprintTgdSet.
+void BM_TgdProfile(benchmark::State& state) {
+  int k = static_cast<int>(state.range(0));
+  TgdSet tgds = MakeEliChainOntology(k);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(GetTgdProfile(tgds));
+  }
+  state.SetComplexityN(k);
+}
+BENCHMARK(BM_TgdProfile)->RangeMultiplier(2)->Range(2, 32)->Complexity();
+
 /// Cold: no cache — every iteration recompiles the (k+1)^m-disjunct
 /// rewriting.
 void BM_EvalRewriteColdCache(benchmark::State& state) {
   int depth = static_cast<int>(state.range(0));
   Omq omq = HierarchyOmq(depth, 3);
   Database db = HierarchyDb(4);
-  EvalOptions options;
-  options.strategy = EvalOptions::Strategy::kRewrite;
   for (auto _ : state) {
-    auto answers = EvalAll(omq, db, options);
+    auto answers = RewriteAndEvaluate(nullptr, omq, db);
     if (!answers.ok()) {
       state.SkipWithError(answers.status().ToString().c_str());
       return;
     }
-    benchmark::DoNotOptimize(answers->size());
+    benchmark::DoNotOptimize(*answers);
   }
   state.SetComplexityN(depth);
 }
@@ -108,24 +138,21 @@ void BM_EvalRewriteWarmCache(benchmark::State& state) {
   Omq omq = HierarchyOmq(depth, 3);
   Database db = HierarchyDb(4);
   OmqCache cache;
-  EvalOptions options;
-  options.strategy = EvalOptions::Strategy::kRewrite;
-  options.cache = &cache;
   // Populate outside the timed region.
-  if (!EvalAll(omq, db, options).ok()) {
+  if (!RewriteAndEvaluate(&cache, omq, db).ok()) {
     state.SkipWithError("warmup failed");
     return;
   }
-  EngineStats stats;
+  CacheCounters counters;
   for (auto _ : state) {
-    auto answers = EvalAll(omq, db, options, &stats);
+    auto answers = RewriteAndEvaluate(&cache, omq, db, &counters);
     if (!answers.ok()) {
       state.SkipWithError(answers.status().ToString().c_str());
       return;
     }
-    benchmark::DoNotOptimize(answers->size());
+    benchmark::DoNotOptimize(*answers);
   }
-  state.counters["cache_hits"] = static_cast<double>(stats.cache.hits);
+  state.counters["cache_hits"] = static_cast<double>(counters.hits);
   state.SetComplexityN(depth);
 }
 BENCHMARK(BM_EvalRewriteWarmCache)
@@ -217,12 +244,7 @@ BENCHMARK(BM_ContainmentGovernorOverhead)->Arg(0)->Arg(1);
 /// — measures fingerprint + shard-lock + insertion on top of compilation.
 void BM_CacheAllMissOverhead(benchmark::State& state) {
   OmqCache cache;
-  EvalOptions cached;
-  cached.strategy = EvalOptions::Strategy::kRewrite;
-  cached.cache = &cache;
-  EvalOptions plain = cached;
-  plain.cache = nullptr;
-  bool use_cache = state.range(0) != 0;
+  OmqCache* use_cache = state.range(0) != 0 ? &cache : nullptr;
   Database db = HierarchyDb(4);
   Omq base = HierarchyOmq(2, 2);
   int i = 0;
@@ -232,12 +254,12 @@ void BM_CacheAllMissOverhead(benchmark::State& state) {
     omq.query.body.push_back(
         Atom::Make("E0", {Term::Variable("X0"),
                           Term::Constant("m" + std::to_string(i++))}));
-    auto answers = EvalAll(omq, db, use_cache ? cached : plain);
+    auto answers = RewriteAndEvaluate(use_cache, omq, db);
     if (!answers.ok()) {
       state.SkipWithError(answers.status().ToString().c_str());
       return;
     }
-    benchmark::DoNotOptimize(answers->size());
+    benchmark::DoNotOptimize(*answers);
   }
 }
 BENCHMARK(BM_CacheAllMissOverhead)->Arg(0)->Arg(1);

@@ -15,9 +15,8 @@
 //                            `contain`
 //   --stats-json             print EngineStats as one JSON document (same
 //                            serializer as the server STATS endpoint)
-//   --cache=on|off           compilation cache (classification, UCQ
-//                            rewritings, prepared RHS evaluators) for
-//                            `eval` and `contain` (default: on)
+//   --cache=on|off           compilation cache (UCQ rewritings, complete
+//                            chases) for `eval` and `contain` (default: on)
 //   --cache-capacity=N       total cache entries across shards
 //                            (default: 1024)
 //   --cache-dir=PATH         persistent artifact store: warm-start the

@@ -11,37 +11,6 @@ uint64_t DigestCombine(uint64_t h, uint64_t v) {
          0x00000100000001b3ULL;
 }
 
-TgdProfile ComputeProfile(const TgdSet& tgds) {
-  TgdProfile p;
-  if (tgds.empty()) {
-    p.primary = TgdClass::kEmpty;
-    p.full = true;
-    p.non_recursive = true;
-    return p;
-  }
-  p.linear = IsLinear(tgds);
-  p.guarded = IsGuarded(tgds);
-  p.full = IsFull(tgds);
-  p.non_recursive = IsNonRecursive(tgds);
-  p.sticky = IsSticky(tgds);
-  // Same preference order as PrimaryClass (UCQ-rewritable and cheaper
-  // first): L > NR > S > G > F.
-  if (p.linear) {
-    p.primary = TgdClass::kLinear;
-  } else if (p.non_recursive) {
-    p.primary = TgdClass::kNonRecursive;
-  } else if (p.sticky) {
-    p.primary = TgdClass::kSticky;
-  } else if (p.guarded) {
-    p.primary = TgdClass::kGuarded;
-  } else if (p.full) {
-    p.primary = TgdClass::kFull;
-  } else {
-    p.primary = TgdClass::kGeneral;
-  }
-  return p;
-}
-
 size_t ApproxBytes(const ConjunctiveQuery& q) {
   size_t bytes = sizeof(ConjunctiveQuery);
   bytes += q.answer_vars.size() * sizeof(Term);
@@ -52,18 +21,6 @@ size_t ApproxBytes(const ConjunctiveQuery& q) {
 }
 
 }  // namespace
-
-TgdProfile GetTgdProfile(OmqCache* cache, const TgdSet& tgds,
-                         CacheCounters* counters) {
-  if (cache == nullptr) return ComputeProfile(tgds);
-  CacheKey key{FingerprintTgdSet(tgds), 0, ArtifactKind::kClassification};
-  if (auto hit = cache->Get<TgdProfile>(key, counters)) return *hit;
-  auto profile = std::make_shared<TgdProfile>(ComputeProfile(tgds));
-  TgdProfile result = *profile;
-  cache->Put(key, std::shared_ptr<const TgdProfile>(std::move(profile)),
-             sizeof(TgdProfile), counters);
-  return result;
-}
 
 uint64_t XRewriteOptionsDigest(const XRewriteOptions& options) {
   // Deliberately excludes options.governor: the rewriting a saturated run

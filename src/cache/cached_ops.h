@@ -1,6 +1,6 @@
-// Cache-aware wrappers around the compilation steps of the engine:
-// ontology classification (src/tgd/classify) and UCQ rewriting
-// (src/rewrite/xrewrite). Every function degrades to a plain computation
+// Cache-aware wrappers around the compilation steps of the engine: UCQ
+// rewriting (src/rewrite/xrewrite) and the chase results EvalAll reuses
+// (src/core/eval.cc). Every function degrades to a plain computation
 // when `cache` is null, so callers thread one optional pointer through and
 // never branch on caching themselves. All wrappers are safe to call
 // concurrently with a shared cache (per-run tallies go to the caller's
@@ -16,28 +16,8 @@
 #include "cache/omq_cache.h"
 #include "logic/instance.h"
 #include "rewrite/xrewrite.h"
-#include "tgd/classify.h"
 
 namespace omqc {
-
-/// The classification facts the evaluation/containment dispatchers need,
-/// precomputed once per distinct (modulo renaming) ontology.
-struct TgdProfile {
-  TgdClass primary = TgdClass::kEmpty;
-  bool linear = false;
-  bool guarded = false;
-  bool full = false;
-  bool non_recursive = false;
-  bool sticky = false;
-
-  /// True when the restricted chase provably reaches a fixpoint.
-  bool ChaseTerminates() const { return full || non_recursive; }
-};
-
-/// Classifies `tgds`, consulting/filling `cache` (keyed by the tgd set's
-/// canonical fingerprint) when non-null.
-TgdProfile GetTgdProfile(OmqCache* cache, const TgdSet& tgds,
-                         CacheCounters* counters = nullptr);
 
 /// A cached (complete) UCQ rewriting together with the stats of the run
 /// that produced it.

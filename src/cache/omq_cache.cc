@@ -94,10 +94,10 @@ std::shared_ptr<const void> OmqCache::GetErased(const CacheKey& key,
 void OmqCache::PutErased(const CacheKey& key, std::shared_ptr<const void> value,
                          size_t bytes, CacheCounters* counters) {
   InsertInMemory(key, value, bytes, counters);
-  if (persist_ == nullptr || !ArtifactKindPersistable(key.kind)) return;
+  if (persist_ == nullptr) return;
   if (persist_->Contains(key)) return;  // already durable; skip re-encoding
   ByteWriter out;
-  if (!SerializeArtifact(key.kind, value.get(), out)) return;
+  SerializeArtifact(key.kind, value.get(), out);
   persist_->Append(key, kArtifactPayloadVersion, out.Take());
   persist_writes_.fetch_add(1, std::memory_order_relaxed);
   if (counters != nullptr) ++counters->persist_writes;

@@ -1,8 +1,10 @@
 // OmqCache: the compilation cache for OMQ artifacts — UCQ rewritings
-// (XRewrite output), ontology classifications (src/tgd/classify), prepared
-// RHS evaluators (src/core/containment.cc) and chased instances
-// (src/core/eval.cc). It is a fixed-capacity, sharded, thread-safe LRU,
-// optionally backed by the on-disk segment store of cache/persist.h.
+// (XRewrite output) and chased instances (src/core/eval.cc). It is a
+// fixed-capacity, sharded, thread-safe LRU, optionally backed by the
+// on-disk segment store of cache/persist.h. Ontology classifications and
+// prepared evaluators are not cached: classifying again is cheaper than a
+// lookup, and an evaluator only lives for its request (DESIGN.md
+// "Compilation cache").
 //
 // Entries are keyed by the 128-bit structural fingerprint of the compiled
 // object (src/cache/canonical.h) plus a digest of the options that shaped
@@ -49,9 +51,7 @@ class PersistentStore;
 /// cache several artifact kinds side by side.
 enum class ArtifactKind : uint8_t {
   kRewriting = 0,       ///< CachedRewriting (cache/cached_ops.h)
-  kClassification = 1,  ///< TgdProfile (cache/cached_ops.h)
-  kRhsEvaluator = 2,    ///< RhsEvaluator (src/core/containment.cc)
-  kChasedInstance = 3,  ///< CachedChase (cache/cached_ops.h)
+  kChasedInstance = 1,  ///< CachedChase (cache/cached_ops.h)
 };
 
 struct CacheKey {
@@ -134,9 +134,9 @@ class OmqCache {
 
   /// A cache backed by the segment store rooted at `dir` (created if
   /// absent). Memory misses fall through to the disk tier, decode the
-  /// stored payload and promote it; inserts of persistable kinds are
-  /// appended to it. Fails only when the directory cannot be created —
-  /// bad segment contents degrade to a cold cache, never to an error.
+  /// stored payload and promote it; every insert is appended to it.
+  /// Fails only when the directory cannot be created — bad segment
+  /// contents degrade to a cold cache, never to an error.
   static Result<std::unique_ptr<OmqCache>> Open(OmqCacheConfig config,
                                                 const std::string& dir);
 
@@ -154,8 +154,8 @@ class OmqCache {
                                         CacheCounters* counters = nullptr);
 
   /// Inserts (or replaces) `key`, evicting least-recently-used entries of
-  /// the shard while it is over capacity, and appends persistable kinds
-  /// to the disk tier. `bytes` is the caller's size estimate, used only
+  /// the shard while it is over capacity, and appends the artifact to the
+  /// disk tier. `bytes` is the caller's size estimate, used only
   /// for accounting. An insert may be dropped (capacity, fault
   /// injection): callers must treat Put as advisory.
   void PutErased(const CacheKey& key, std::shared_ptr<const void> value,

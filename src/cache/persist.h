@@ -55,7 +55,7 @@ uint64_t Xxh64(const void* data, size_t size, uint64_t seed = 0);
 /// On-disk format version of segments and the manifest. Bump on layout
 /// changes; kArtifactPayloadVersion (cache/serialize.h) separately versions
 /// the payloads inside records.
-constexpr uint32_t kSegmentFormatVersion = 2;
+constexpr uint32_t kSegmentFormatVersion = 3;
 
 /// Build epoch stamped into segments and the manifest: artifacts encode by
 /// name and carry their own payload version, so the epoch only changes

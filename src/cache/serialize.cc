@@ -38,23 +38,6 @@ Result<DecodedArtifact> DecodeRewriting(ByteReader& in) {
   return DecodedArtifact{std::move(entry), bytes};
 }
 
-Result<DecodedArtifact> DecodeProfile(ByteReader& in) {
-  auto profile = std::make_shared<TgdProfile>();
-  uint8_t primary = in.U8();
-  uint8_t flags = in.U8();
-  if (!in.ok() || primary > static_cast<uint8_t>(TgdClass::kGeneral) ||
-      (flags & ~0x1Fu) != 0) {
-    return Status::InvalidArgument("bad tgd profile");
-  }
-  profile->primary = static_cast<TgdClass>(primary);
-  profile->linear = (flags & 0x01) != 0;
-  profile->guarded = (flags & 0x02) != 0;
-  profile->full = (flags & 0x04) != 0;
-  profile->non_recursive = (flags & 0x08) != 0;
-  profile->sticky = (flags & 0x10) != 0;
-  return DecodedArtifact{std::move(profile), sizeof(TgdProfile)};
-}
-
 Result<DecodedArtifact> DecodeChase(ByteReader& in) {
   auto chase = std::make_shared<CachedChase>();
   OMQC_ASSIGN_OR_RETURN(chase->instance, Instance::Restore(in));
@@ -63,18 +46,6 @@ Result<DecodedArtifact> DecodeChase(ByteReader& in) {
 }
 
 }  // namespace
-
-bool ArtifactKindPersistable(ArtifactKind kind) {
-  switch (kind) {
-    case ArtifactKind::kRewriting:
-    case ArtifactKind::kClassification:
-    case ArtifactKind::kChasedInstance:
-      return true;
-    case ArtifactKind::kRhsEvaluator:
-      return false;
-  }
-  return false;
-}
 
 void SerializeFingerprint(const Fingerprint& fp, ByteWriter& out) {
   out.U64(fp.hi);
@@ -88,35 +59,20 @@ Fingerprint DeserializeFingerprint(ByteReader& in) {
   return fp;
 }
 
-bool SerializeArtifact(ArtifactKind kind, const void* value, ByteWriter& out) {
+void SerializeArtifact(ArtifactKind kind, const void* value, ByteWriter& out) {
   switch (kind) {
     case ArtifactKind::kRewriting: {
       const auto* entry = static_cast<const CachedRewriting*>(value);
       SerializeUCQ(entry->ucq, out);
       SerializeXRewriteStats(entry->compute_stats, out);
-      return true;
-    }
-    case ArtifactKind::kClassification: {
-      const auto* profile = static_cast<const TgdProfile*>(value);
-      out.U8(static_cast<uint8_t>(profile->primary));
-      uint8_t flags = 0;
-      if (profile->linear) flags |= 0x01;
-      if (profile->guarded) flags |= 0x02;
-      if (profile->full) flags |= 0x04;
-      if (profile->non_recursive) flags |= 0x08;
-      if (profile->sticky) flags |= 0x10;
-      out.U8(flags);
-      return true;
+      return;
     }
     case ArtifactKind::kChasedInstance: {
       const auto* chase = static_cast<const CachedChase*>(value);
       chase->instance.Snapshot(out);
-      return true;
+      return;
     }
-    case ArtifactKind::kRhsEvaluator:
-      return false;
   }
-  return false;
 }
 
 Result<DecodedArtifact> DeserializeArtifact(ArtifactKind kind,
@@ -124,14 +80,10 @@ Result<DecodedArtifact> DeserializeArtifact(ArtifactKind kind,
   switch (kind) {
     case ArtifactKind::kRewriting:
       return DecodeRewriting(in);
-    case ArtifactKind::kClassification:
-      return DecodeProfile(in);
     case ArtifactKind::kChasedInstance:
       return DecodeChase(in);
-    case ArtifactKind::kRhsEvaluator:
-      break;
   }
-  return Status::InvalidArgument("artifact kind has no on-disk form");
+  return Status::InvalidArgument("unknown artifact kind");
 }
 
 }  // namespace omqc

@@ -1,13 +1,8 @@
 // Artifact-kind-dispatched binary (de)serialization for the persistent
 // tier of the cache (cache/persist.h). Builds on the logic layer's
 // serializers (logic/serialize.h); payloads are name-based and therefore
-// stable across processes and interning orders.
-//
-// kRhsEvaluator is deliberately NOT persistable: a prepared evaluator
-// holds process-local state (its EvalOptions carry the cache pointer)
-// with no meaningful on-disk form. The disk tier simply
-// never stores that kind; it is recompiled per process (cheap relative to
-// the rewritings it consumes, which ARE persisted).
+// stable across processes and interning orders. Every ArtifactKind has
+// an on-disk form.
 
 #ifndef OMQC_CACHE_SERIALIZE_H_
 #define OMQC_CACHE_SERIALIZE_H_
@@ -26,16 +21,12 @@ namespace omqc {
 /// payloads of a foreign version.
 constexpr uint32_t kArtifactPayloadVersion = 1;
 
-/// True iff artifacts of this kind have an on-disk form.
-bool ArtifactKindPersistable(ArtifactKind kind);
-
 void SerializeFingerprint(const Fingerprint& fp, ByteWriter& out);
 Fingerprint DeserializeFingerprint(ByteReader& in);
 
 /// Encodes the artifact `value` of the given kind (which must be the
-/// type-erased pointer the cache holds for that kind). Returns false for
-/// non-persistable kinds (nothing is written).
-bool SerializeArtifact(ArtifactKind kind, const void* value, ByteWriter& out);
+/// type-erased pointer the cache holds for that kind).
+void SerializeArtifact(ArtifactKind kind, const void* value, ByteWriter& out);
 
 /// A decoded artifact: the type-erased value (pointing at the type the
 /// cache's consumers expect for `kind`) plus the byte estimate to account

@@ -1,12 +1,12 @@
 #include "core/containment.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "base/governor.h"
 #include "base/string_util.h"
 #include "cache/cached_ops.h"
-#include "logic/homomorphism.h"
 
 namespace omqc {
 
@@ -24,147 +24,25 @@ const char* ContainmentOutcomeToString(ContainmentOutcome outcome) {
 
 namespace {
 
-/// The RHS check callback: "tuple ∈ Q2(D)?" for a frozen candidate. Exact
-/// true/false, or an error Status (typically ResourceExhausted, or a
-/// governor trip) when a budget prevented an exact answer. Per-call work
-/// is tallied into `stats` (never null inside RunEngine). The governor is
-/// passed PER CALL — evaluators may be cached across requests
-/// (ArtifactKind::kRhsEvaluator) and must never store a request's
-/// governor pointer.
-using ContainsFn = std::function<Result<bool>(
-    const Database&, const std::vector<Term>&, EngineStats*,
-    ResourceGovernor*)>;
-
-/// Evaluates "tuple ∈ Q2(D)" for the candidate-witness databases produced
-/// during enumeration. Precomputes a UCQ rewriting for linear/sticky RHS
-/// ontologies so repeated candidates do not re-run XRewrite. The evaluator
-/// owns copies of everything it needs, so it is cacheable under
-/// ArtifactKind::kRhsEvaluator and may be shared across containment calls
-/// whose RHS is the same OMQ up to variable renaming. Contains() is const
-/// and touches no mutable state, so server workers may share one cached
-/// evaluator across concurrent requests.
-class RhsEvaluator {
- public:
-  /// Builds (or fetches from options.cache) the evaluator for `q2`. On a
-  /// fresh build the one-time setup work is merged into `stats->rewrite`;
-  /// on a hit only `stats->cache` is touched — the setup was paid by an
-  /// earlier call.
-  static Result<std::shared_ptr<const RhsEvaluator>> Make(
-      const Omq& q2, const ContainmentOptions& options,
-      EngineStats* stats = nullptr) {
-    OmqCache* cache = options.cache;
-    CacheCounters* counters = stats != nullptr ? &stats->cache : nullptr;
-    CacheKey key;
-    if (cache != nullptr) {
-      key = CacheKey{FingerprintOmqParts(q2.data_schema, q2.tgds, q2.query),
-                     EvalOptionsDigest(options.eval),
-                     ArtifactKind::kRhsEvaluator};
-      if (auto hit = cache->Get<RhsEvaluator>(key, counters)) return hit;
-    }
-    std::shared_ptr<RhsEvaluator> evaluator(
-        new RhsEvaluator(q2, options.eval));
-    TgdProfile profile = GetTgdProfile(cache, q2.tgds, counters);
-    // Precompute the RHS rewriting only when the chase does not terminate
-    // (for terminating sets, per-candidate chasing is cheaper than a
-    // potentially large rewriting). The setup runs under the REQUEST
-    // governor (attached per call, never stored: the cache digest ignores
-    // it, and the cached artifact must not dangle into this request).
-    if ((profile.primary == TgdClass::kLinear ||
-         profile.primary == TgdClass::kSticky) &&
-        !profile.non_recursive && !profile.full) {
-      XRewriteStats setup;
-      XRewriteOptions setup_rewrite = options.eval.rewrite;
-      setup_rewrite.governor = options.governor;
-      OMQC_ASSIGN_OR_RETURN(
-          evaluator->rewriting_,
-          CachedXRewrite(cache, q2.data_schema, q2.tgds, q2.query,
-                         setup_rewrite, &setup, counters));
-      if (stats != nullptr) stats->rewrite.Merge(setup);
-    }
-    if (cache != nullptr) {
-      size_t bytes = sizeof(RhsEvaluator);
-      if (evaluator->rewriting_ != nullptr) {
-        bytes += ApproxBytes(*evaluator->rewriting_);
-      }
-      cache->Put<RhsEvaluator>(key, evaluator, bytes, counters);
-    }
-    return std::shared_ptr<const RhsEvaluator>(std::move(evaluator));
-  }
-
-  /// Exact answer or ResourceExhausted / governor trip (budgeted
-  /// guarded/general RHS, a homomorphism step budget, or a tripped
-  /// `governor`). The governor is a per-call overlay — this object may
-  /// outlive the request that passed it (see ContainsFn).
-  Result<bool> Contains(const Database& db, const std::vector<Term>& tuple,
-                        EngineStats* stats,
-                        ResourceGovernor* governor = nullptr) const {
-    if (rewriting_ != nullptr) {
-      HomomorphismOptions hom;
-      hom.max_steps = eval_.hom_max_steps;
-      hom.counters = stats != nullptr ? &stats->hom : nullptr;
-      hom.governor = governor;
-      bool exhausted = false;
-      for (const ConjunctiveQuery& disjunct : rewriting_->disjuncts) {
-        switch (TupleInAnswerBudgeted(disjunct, db, tuple, hom)) {
-          case HomSearchOutcome::kFound:
-            return true;
-          case HomSearchOutcome::kExhausted:
-            exhausted = true;  // another disjunct may still match
-            break;
-          case HomSearchOutcome::kNotFound:
-            break;
-        }
-        if (governor != nullptr && governor->tripped()) break;
-      }
-      if (governor != nullptr && governor->tripped()) {
-        return governor->TripStatus();
-      }
-      if (exhausted) {
-        return Status::ResourceExhausted(
-            StrCat("homomorphism step budget (", eval_.hom_max_steps,
-                   ") exhausted on a RHS rewriting disjunct; cannot certify "
-                   "a negative answer"));
-      }
-      return false;
-    }
-    if (governor == nullptr) return EvalTuple(q2_, db, tuple, eval_, stats);
-    EvalOptions governed = eval_;
-    governed.governor = governor;
-    return EvalTuple(q2_, db, tuple, governed, stats);
-  }
-
- private:
-  RhsEvaluator(const Omq& q2, const EvalOptions& eval)
-      : q2_(q2), eval_(eval) {
-    // Cached across requests: never retain a request's governor (the
-    // options digest ignores it, so a stored pointer would dangle into
-    // whichever request happened to build the entry).
-    eval_.governor = nullptr;
-    eval_.rewrite.governor = nullptr;
-  }
-
-  Omq q2_;
-  EvalOptions eval_;
-  std::shared_ptr<const UnionOfCQs> rewriting_;
-};
-
 /// The shared engine: enumerate LHS rewriting disjuncts, freeze each, test
-/// the frozen candidate against `contains` on the calling thread. The
+/// the frozen candidate against the prepared RHS on the calling thread. The
 /// first refuting candidate (in enumeration order) is the witness and
 /// stops the enumeration; kContained / kUnknown are decided only after
 /// every check has finished.
 ///
-/// Governance: the run executes under a CHILD of options.governor (also
-/// created when the caller passed none, where it simply never trips). The
-/// child shares the caller's deadline/token/budget through the parent
-/// chain and carries the run's probe counters, but owns its own token: a
-/// refutation cancels the child, which stops the enumeration without
-/// cancelling the caller's request, which may have sibling runs left.
-/// Only a trip of the USER's governor degrades the outcome; a child-only
-/// cancellation is the engine's own early exit and stays invisible.
+/// Governance: the enumeration runs under a CHILD of options.governor
+/// (also created when the caller passed none, where it simply never
+/// trips). The child shares the caller's deadline/token/budget through the
+/// parent chain, but owns its own token: a refutation cancels the child,
+/// which stops the enumeration without cancelling the caller's request,
+/// which may have sibling runs left. The RHS checks run under the
+/// request's governor, which `rhs` was prepared with; none runs after a
+/// refutation. Only a trip of the USER's governor degrades the outcome; a
+/// child-only cancellation is the engine's own early exit and stays
+/// invisible.
 Result<ContainmentResult> RunEngine(const Omq& q1,
                                     const ContainmentOptions& options,
-                                    const ContainsFn& contains) {
+                                    const OmqEvaluator& rhs) {
   ContainmentResult result;
   bool refuted = false;
   bool inconclusive_rhs = false;
@@ -173,14 +51,6 @@ Result<ContainmentResult> RunEngine(const Omq& q1,
   CacheCounters lhs_cache;   // cache traffic of the enumeration itself
   EngineStats check_stats;   // merged RHS-check work
   ResourceGovernor run_governor(options.governor);
-
-  // Snapshot the child's counters into the result on every return path
-  // (including error returns from the enumeration).
-  struct CountersScope {
-    ResourceGovernor* governor;
-    ContainmentResult* result;
-    ~CountersScope() { result->stats.governor.Merge(governor->counters()); }
-  } counters_scope{&run_governor, &result};
 
   // Folds one finished RHS check into the run state.
   auto record = [&](Result<bool> r, FrozenQuery frozen, EngineStats local) {
@@ -210,8 +80,8 @@ Result<ContainmentResult> RunEngine(const Omq& q1,
         result.max_witness_size = std::max(result.max_witness_size, p.size());
         FrozenQuery frozen = Freeze(p);
         EngineStats local;
-        Result<bool> r = contains(frozen.database, frozen.answer_tuple,
-                                  &local, &run_governor);
+        Result<bool> r =
+            rhs.Contains(frozen.database, frozen.answer_tuple, &local);
         record(std::move(r), std::move(frozen), std::move(local));
         return !refuted;
       };
@@ -230,6 +100,8 @@ Result<ContainmentResult> RunEngine(const Omq& q1,
   result.stats.rewrite.Merge(lhs_stats);
   result.stats.cache.Merge(lhs_cache);
   result.stats.disjuncts_checked += result.candidates_checked;
+  // The root's counters cover the enumeration and every RHS check.
+  result.stats.governor.Merge(run_governor.counters());
 
   // A definite answer is never flipped by a trip: a refutation found
   // before the trip stands, and kContained requires a saturated
@@ -292,12 +164,14 @@ Status CheckCompatible(const Omq& q1, const Omq& q2) {
 /// Propagates the containment-level cache into the RHS evaluation options
 /// (and vice versa) so one `--cache` switch covers every layer; an
 /// explicitly set eval cache wins. The governor propagates the same way:
-/// one governor set at either level bounds the whole request.
+/// one governor set at either level bounds the whole request, and the
+/// containment-level one wins.
 ContainmentOptions EffectiveOptions(const ContainmentOptions& options) {
   ContainmentOptions local = options;
   if (local.eval.cache == nullptr) local.eval.cache = local.cache;
   if (local.cache == nullptr) local.cache = local.eval.cache;
   if (local.governor == nullptr) local.governor = local.eval.governor;
+  local.eval.governor = local.governor;
   return local;
 }
 
@@ -308,15 +182,10 @@ Result<ContainmentResult> CheckContainment(const Omq& q1, const Omq& q2,
   ContainmentOptions options = EffectiveOptions(opts);
   OMQC_RETURN_IF_ERROR(CheckCompatible(q1, q2));
   EngineStats setup_stats;
-  OMQC_ASSIGN_OR_RETURN(std::shared_ptr<const RhsEvaluator> rhs,
-                        RhsEvaluator::Make(q2, options, &setup_stats));
-  OMQC_ASSIGN_OR_RETURN(
-      ContainmentResult result,
-      RunEngine(q1, options,
-                [&rhs](const Database& db, const std::vector<Term>& tuple,
-                       EngineStats* stats, ResourceGovernor* governor) {
-                  return rhs->Contains(db, tuple, stats, governor);
-                }));
+  OMQC_ASSIGN_OR_RETURN(OmqEvaluator rhs,
+                        OmqEvaluator::Prepare(q2, options.eval, &setup_stats));
+  OMQC_ASSIGN_OR_RETURN(ContainmentResult result,
+                        RunEngine(q1, options, rhs));
   result.stats.Merge(setup_stats);
   return result;
 }
@@ -326,45 +195,16 @@ Result<ContainmentResult> CheckContainmentInUcq(
   ContainmentOptions options = EffectiveOptions(opts);
   OMQC_RETURN_IF_ERROR(ValidateOmq(q1));
   for (const ConjunctiveQuery& disjunct : ucq.disjuncts) {
-    OMQC_RETURN_IF_ERROR(ValidateCQ(disjunct));
     if (disjunct.answer_vars.size() != q1.AnswerArity()) {
       return Status::InvalidArgument("UCQ answer arity mismatch");
     }
   }
-  return RunEngine(
-      q1, options,
-      [&ucq, &options](const Database& db, const std::vector<Term>& tuple,
-                       EngineStats* stats,
-                       ResourceGovernor* governor) -> Result<bool> {
-        HomomorphismOptions hom;
-        hom.max_steps = options.eval.hom_max_steps;
-        hom.counters = stats != nullptr ? &stats->hom : nullptr;
-        hom.governor = governor;
-        bool exhausted = false;
-        for (const ConjunctiveQuery& disjunct : ucq.disjuncts) {
-          switch (TupleInAnswerBudgeted(disjunct, db, tuple, hom)) {
-            case HomSearchOutcome::kFound:
-              return true;
-            case HomSearchOutcome::kExhausted:
-              exhausted = true;
-              break;
-            case HomSearchOutcome::kNotFound:
-              break;
-          }
-          if (governor != nullptr && governor->tripped()) break;
-        }
-        if (governor != nullptr && governor->tripped()) {
-          return governor->TripStatus();
-        }
-        if (exhausted) {
-          return Status::ResourceExhausted(
-              StrCat("homomorphism step budget (",
-                     options.eval.hom_max_steps,
-                     ") exhausted on a RHS UCQ disjunct; cannot certify a "
-                     "negative answer"));
-        }
-        return false;
-      });
+  // A plain UCQ is the empty-ontology OMQ: its disjuncts are matched
+  // against each frozen candidate directly.
+  const UcqOmq rhs_omq{q1.data_schema, TgdSet(), ucq};
+  OMQC_ASSIGN_OR_RETURN(OmqEvaluator rhs,
+                        OmqEvaluator::Prepare(rhs_omq, options.eval));
+  return RunEngine(q1, options, rhs);
 }
 
 Result<ContainmentResult> CheckUcqOmqContainment(
@@ -372,31 +212,10 @@ Result<ContainmentResult> CheckUcqOmqContainment(
   ContainmentOptions options = EffectiveOptions(opts);
   ContainmentResult merged;
   merged.outcome = ContainmentOutcome::kContained;
-  // RHS keeps its UCQ: build one evaluator per RHS disjunct-OMQ up front
-  // (validating each, and precomputing its rewriting where applicable)
-  // instead of re-assembling an Omq and re-deciding chase-vs-rewrite for
-  // every candidate of every LHS disjunct.
-  std::vector<std::shared_ptr<const RhsEvaluator>> rhs_evaluators;
-  rhs_evaluators.reserve(q2.query.disjuncts.size());
-  for (const ConjunctiveQuery& d : q2.query.disjuncts) {
-    Omq rhs_omq{q2.data_schema, q2.tgds, d};
-    OMQC_RETURN_IF_ERROR(ValidateOmq(rhs_omq));
-    OMQC_ASSIGN_OR_RETURN(std::shared_ptr<const RhsEvaluator> evaluator,
-                          RhsEvaluator::Make(rhs_omq, options, &merged.stats));
-    rhs_evaluators.push_back(std::move(evaluator));
-  }
-  const auto contains = [&rhs_evaluators](
-                            const Database& db,
-                            const std::vector<Term>& tuple,
-                            EngineStats* stats,
-                            ResourceGovernor* governor) -> Result<bool> {
-    for (const auto& evaluator : rhs_evaluators) {
-      OMQC_ASSIGN_OR_RETURN(bool in,
-                            evaluator->Contains(db, tuple, stats, governor));
-      if (in) return true;
-    }
-    return false;
-  };
+  // The RHS keeps its UCQ: one evaluator, prepared once, chases each
+  // candidate once and matches every RHS disjunct against it.
+  OMQC_ASSIGN_OR_RETURN(OmqEvaluator rhs,
+                        OmqEvaluator::Prepare(q2, options.eval, &merged.stats));
   for (const ConjunctiveQuery& disjunct : q1.query.disjuncts) {
     // A tripped request governor makes every further run inconclusive;
     // stop burning the remaining wall clock on runs that cannot certify.
@@ -411,7 +230,7 @@ Result<ContainmentResult> CheckUcqOmqContainment(
     Omq lhs{q1.data_schema, q1.tgds, disjunct};
     OMQC_RETURN_IF_ERROR(ValidateOmq(lhs));
     OMQC_ASSIGN_OR_RETURN(ContainmentResult partial,
-                          RunEngine(lhs, options, contains));
+                          RunEngine(lhs, options, rhs));
     merged.candidates_checked += partial.candidates_checked;
     merged.max_witness_size =
         std::max(merged.max_witness_size, partial.max_witness_size);

@@ -20,9 +20,11 @@
 //   the budget otherwise. This replaces the paper's 2WAPA emptiness test,
 //   which decides the same question in the 2EXPTIME worst case; see the
 //   substitution table in DESIGN.md.
-// * The right-hand side is evaluated with the exact strategy of
-//   src/core/eval.h; a guarded RHS uses the budgeted chase and may also
-//   contribute kUnknown.
+// * The right-hand side is one OmqEvaluator (src/core/eval.h), prepared
+//   once per request: a CQ, a UCQ-OMQ and a plain UCQ (the empty-ontology
+//   case) all go through it. A guarded RHS uses the budgeted chase and may
+//   also contribute kUnknown; a candidate is in a UCQ RHS as soon as one
+//   disjunct matches its one chase.
 
 #ifndef OMQC_CORE_CONTAINMENT_H_
 #define OMQC_CORE_CONTAINMENT_H_
@@ -76,10 +78,10 @@ struct ContainmentOptions {
   /// Budgets for evaluating the RHS over candidate witnesses.
   EvalOptions eval;
   /// Optional compilation cache (null = no caching). Consulted for the LHS
-  /// rewriting enumeration, the RHS ontology classification/rewriting and
-  /// the prepared RHS evaluator; also propagated into `eval.cache` when
-  /// that is null. Shared safely across threads and calls; outcomes are
-  /// identical with and without it (only compilation work is reused).
+  /// rewriting enumeration and the RHS rewriting; also propagated into
+  /// `eval.cache` when that is null. Shared safely across threads and
+  /// calls; outcomes are identical with and without it (only compilation
+  /// work is reused).
   OmqCache* cache = nullptr;
   /// Optional shared request governor (base/governor.h) bounding the whole
   /// containment request — LHS enumeration, freezing, and every RHS check
@@ -89,8 +91,8 @@ struct ContainmentOptions {
   /// enumeration without cancelling the caller's request. A trip degrades
   /// the outcome to kUnknown with the trip in `detail` — a refutation
   /// found before the trip still wins (kNotContained), and a definite
-  /// answer is never flipped. Propagated into `eval.governor` when that is
-  /// null. Not owned.
+  /// answer is never flipped. Falls back to `eval.governor` when null, and
+  /// is the governor the RHS evaluator runs under. Not owned.
   ResourceGovernor* governor = nullptr;
 
   ContainmentOptions() {

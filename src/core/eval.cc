@@ -1,10 +1,13 @@
 #include "core/eval.h"
 
 #include <algorithm>
+#include <set>
+#include <utility>
 
 #include "base/string_util.h"
 #include "cache/cached_ops.h"
 #include "logic/homomorphism.h"
+#include "tgd/classify.h"
 
 namespace omqc {
 namespace {
@@ -24,28 +27,13 @@ Status CheckDatabaseSchema(const Omq& omq, const Database& database) {
   return Status::OK();
 }
 
-enum class Path { kChase, kRewrite };
-
-Path ChoosePath(const TgdProfile& profile, const EvalOptions& options) {
-  switch (options.strategy) {
-    case EvalOptions::Strategy::kChase:
-      return Path::kChase;
-    case EvalOptions::Strategy::kRewrite:
-      return Path::kRewrite;
-    case EvalOptions::Strategy::kAuto:
-      break;
-  }
-  switch (profile.primary) {
-    case TgdClass::kLinear:
-    case TgdClass::kSticky:
-      // The chase is usually much cheaper when it provably terminates
-      // (the rewriting of sticky sets can be exponential, Prop. 17);
-      // fall back to rewriting only for genuinely recursive,
-      // null-inventing sets.
-      return profile.ChaseTerminates() ? Path::kChase : Path::kRewrite;
-    default:
-      return Path::kChase;
-  }
+/// Rewriting pays off only for the UCQ-rewritable classes whose chase may
+/// not terminate: when the chase provably terminates it is usually much
+/// cheaper (the rewriting of sticky sets can be exponential, Prop. 17).
+bool UsesRewriting(const TgdProfile& profile) {
+  return (profile.primary == TgdClass::kLinear ||
+          profile.primary == TgdClass::kSticky) &&
+         !profile.ChaseTerminates();
 }
 
 ChaseOptions ChaseOptionsFor(const TgdProfile& profile,
@@ -54,19 +42,8 @@ ChaseOptions ChaseOptionsFor(const TgdProfile& profile,
   chase.variant = ChaseVariant::kRestricted;
   chase.max_atoms = options.chase_max_atoms;
   chase.governor = options.governor;
-  if (profile.primary != TgdClass::kEmpty && !profile.ChaseTerminates()) {
-    chase.max_level = options.chase_max_level;
-  }
+  if (!profile.ChaseTerminates()) chase.max_level = options.chase_max_level;
   return chase;
-}
-
-/// Overlays the request governor onto the rewriting options (the stored
-/// options travel through the cache layer, whose digest ignores the
-/// governor, so per-request attachment is safe).
-XRewriteOptions GovernedRewriteOptions(const EvalOptions& options) {
-  XRewriteOptions rewrite = options.rewrite;
-  rewrite.governor = options.governor;
-  return rewrite;
 }
 
 /// Snapshots the request governor's counters into stats on scope exit, so
@@ -101,10 +78,9 @@ uint64_t Fold(uint64_t h, uint64_t v) {
 }
 
 /// Digest of every ChaseOptions field that can change the chase result
-/// (governor and counter pointers excluded, exactly like EvalOptionsDigest:
-/// they bound resources or tally work, and only *complete* chases are
-/// cached — a fixpoint is the same fixpoint under any governor that let it
-/// finish).
+/// (governor and counter pointers excluded: they bound resources or tally
+/// work, and only *complete* chases are cached — a fixpoint is the same
+/// fixpoint under any governor that let it finish).
 uint64_t ChaseOptionsDigestFor(const ChaseOptions& chase) {
   uint64_t h = 0xa0761d6478bd642fULL;
   h = Fold(h, static_cast<uint64_t>(chase.variant));
@@ -117,118 +93,115 @@ uint64_t ChaseOptionsDigestFor(const ChaseOptions& chase) {
 
 }  // namespace
 
-uint64_t EvalOptionsDigest(const EvalOptions& options) {
-  uint64_t h = 0x2545f4914f6cdd1dULL;
-  h = Fold(h, static_cast<uint64_t>(options.strategy));
-  h = Fold(h, options.chase_max_atoms);
-  h = Fold(h, static_cast<uint64_t>(options.chase_max_level));
-  h = Fold(h, options.hom_max_steps);
-  h = Fold(h, XRewriteOptionsDigest(options.rewrite));
-  return h;
+Result<OmqEvaluator> OmqEvaluator::Prepare(const Omq& omq,
+                                           const EvalOptions& options,
+                                           EngineStats* stats) {
+  return PrepareParts(omq.data_schema, omq.tgds, {&omq.query}, options,
+                      stats);
 }
 
-Result<bool> EvalTuple(const Omq& omq, const Database& database,
-                       const std::vector<Term>& tuple,
-                       const EvalOptions& options, EngineStats* stats) {
-  OMQC_RETURN_IF_ERROR(ValidateOmq(omq));
-  OMQC_RETURN_IF_ERROR(CheckDatabaseSchema(omq, database));
-  if (tuple.size() != omq.AnswerArity()) {
-    return Status::InvalidArgument("answer tuple arity mismatch");
+Result<OmqEvaluator> OmqEvaluator::Prepare(const UcqOmq& omq,
+                                           const EvalOptions& options,
+                                           EngineStats* stats) {
+  std::vector<const ConjunctiveQuery*> disjuncts;
+  disjuncts.reserve(omq.query.disjuncts.size());
+  for (const ConjunctiveQuery& d : omq.query.disjuncts) {
+    disjuncts.push_back(&d);
   }
-  GovernorStatsScope governor_scope{options.governor, stats};
-  HomomorphismOptions hom_options;
-  hom_options.max_steps = options.hom_max_steps;
-  hom_options.counters = stats != nullptr ? &stats->hom : nullptr;
-  hom_options.governor = options.governor;
-  CacheCounters* cache_counters = stats != nullptr ? &stats->cache : nullptr;
-  TgdProfile profile = GetTgdProfile(options.cache, omq.tgds, cache_counters);
-  if (ChoosePath(profile, options) == Path::kRewrite) {
+  return PrepareParts(omq.data_schema, omq.tgds, std::move(disjuncts),
+                      options, stats);
+}
+
+Result<OmqEvaluator> OmqEvaluator::PrepareParts(
+    const Schema& data_schema, const TgdSet& tgds,
+    std::vector<const ConjunctiveQuery*> disjuncts,
+    const EvalOptions& options, EngineStats* stats) {
+  OMQC_RETURN_IF_ERROR(ValidateTgdSet(tgds));
+  for (const ConjunctiveQuery* d : disjuncts) {
+    OMQC_RETURN_IF_ERROR(ValidateCQ(*d));
+  }
+  OmqEvaluator evaluator;
+  evaluator.tgds_ = &tgds;
+  evaluator.options_ = options;
+  TgdProfile profile = GetTgdProfile(tgds);
+  if (!UsesRewriting(profile)) {
+    if (profile.primary != TgdClass::kEmpty) {
+      evaluator.chase_ = ChaseOptionsFor(profile, options);
+    }
+    evaluator.match_ = std::move(disjuncts);
+    return evaluator;
+  }
+  // The rewriting runs under the request governor; the cache key ignores
+  // it, so a cached rewriting is reusable by differently governed requests.
+  XRewriteOptions rewrite = options.rewrite;
+  rewrite.governor = options.governor;
+  for (const ConjunctiveQuery* d : disjuncts) {
+    XRewriteStats rewrite_stats;  // XRewrite assigns some fields: merge
     OMQC_ASSIGN_OR_RETURN(
         std::shared_ptr<const UnionOfCQs> rewriting,
-        CachedXRewrite(options.cache, omq.data_schema, omq.tgds, omq.query,
-                       GovernedRewriteOptions(options),
-                       stats != nullptr ? &stats->rewrite : nullptr,
-                       cache_counters));
-    bool exhausted = false;
-    for (const ConjunctiveQuery& disjunct : rewriting->disjuncts) {
-      switch (TupleInAnswerBudgeted(disjunct, database, tuple, hom_options)) {
-        case HomSearchOutcome::kFound:
-          return true;
-        case HomSearchOutcome::kExhausted:
-          exhausted = true;  // keep looking: another disjunct may match
-          break;
-        case HomSearchOutcome::kNotFound:
-          break;
-      }
+        CachedXRewrite(options.cache, data_schema, tgds, *d, rewrite,
+                       &rewrite_stats,
+                       stats != nullptr ? &stats->cache : nullptr));
+    if (stats != nullptr) stats->rewrite.Merge(rewrite_stats);
+    for (const ConjunctiveQuery& r : rewriting->disjuncts) {
+      evaluator.match_.push_back(&r);
     }
-    if (exhausted) {
-      return TripStatusOr(
-          options.governor,
-          Status::ResourceExhausted(
-              StrCat("homomorphism step budget (", options.hom_max_steps,
-                     ") exhausted on a rewriting disjunct; cannot certify a "
-                     "negative answer")));
+    evaluator.rewritings_.push_back(std::move(rewriting));
+  }
+  return evaluator;
+}
+
+Result<bool> OmqEvaluator::Contains(const Database& database,
+                                    const std::vector<Term>& tuple,
+                                    EngineStats* stats) const {
+  HomomorphismOptions hom;
+  hom.max_steps = options_.hom_max_steps;
+  hom.counters = stats != nullptr ? &stats->hom : nullptr;
+  hom.governor = options_.governor;
+  std::optional<ChaseResult> chased;
+  if (chase_.has_value()) {
+    ChaseOptions chase_options = *chase_;
+    chase_options.hom_counters = hom.counters;
+    OMQC_ASSIGN_OR_RETURN(chased, Chase(database, *tgds_, chase_options));
+    RecordChase(*chased, database.size(), stats);
+  }
+  const Instance& target = chased.has_value() ? chased->instance : database;
+  // One chase serves every disjunct: the tuple is in the answer as soon as
+  // one matches, whatever budget stopped the others.
+  bool exhausted = false;
+  for (const ConjunctiveQuery* q : match_) {
+    switch (TupleInAnswerBudgeted(*q, target, tuple, hom)) {
+      case HomSearchOutcome::kFound:
+        return true;  // sound even on a truncated chase
+      case HomSearchOutcome::kExhausted:
+        exhausted = true;  // keep looking: another disjunct may match
+        break;
+      case HomSearchOutcome::kNotFound:
+        break;
     }
-    return false;
   }
-  ChaseOptions chase_options = ChaseOptionsFor(profile, options);
-  chase_options.hom_counters = hom_options.counters;
-  OMQC_ASSIGN_OR_RETURN(ChaseResult chased,
-                        Chase(database, omq.tgds, chase_options));
-  RecordChase(chased, database.size(), stats);
-  switch (TupleInAnswerBudgeted(omq.query, chased.instance, tuple,
-                                hom_options)) {
-    case HomSearchOutcome::kFound:
-      return true;  // sound even on a truncated chase
-    case HomSearchOutcome::kExhausted:
-      return TripStatusOr(
-          options.governor,
-          Status::ResourceExhausted(
-              StrCat("homomorphism step budget (", options.hom_max_steps,
-                     ") exhausted on the chase instance; cannot certify a "
-                     "negative answer")));
-    case HomSearchOutcome::kNotFound:
-      break;
+  if (exhausted) {
+    return TripStatusOr(
+        options_.governor,
+        Status::ResourceExhausted(
+            StrCat("homomorphism step budget (", options_.hom_max_steps,
+                   ") exhausted; cannot certify a negative answer")));
   }
-  if (!chased.complete) {
-    if (!chased.interrupt.ok()) return chased.interrupt;
+  if (chased.has_value() && !chased->complete) {
+    if (!chased->interrupt.ok()) return chased->interrupt;
     return Status::ResourceExhausted(
-        StrCat("chase budget exhausted (", chased.instance.size(),
-               " atoms, level ", chased.max_level_reached,
+        StrCat("chase budget exhausted (", chased->instance.size(),
+               " atoms, level ", chased->max_level_reached,
                "); cannot certify a negative answer"));
   }
   return false;
 }
 
-Result<std::vector<std::vector<Term>>> EvalAll(const Omq& omq,
-                                               const Database& database,
-                                               const EvalOptions& options,
-                                               EngineStats* stats) {
-  OMQC_RETURN_IF_ERROR(ValidateOmq(omq));
-  OMQC_RETURN_IF_ERROR(CheckDatabaseSchema(omq, database));
-  GovernorStatsScope governor_scope{options.governor, stats};
-  HomomorphismOptions hom_options;
-  hom_options.counters = stats != nullptr ? &stats->hom : nullptr;
-  hom_options.governor = options.governor;
-  CacheCounters* cache_counters = stats != nullptr ? &stats->cache : nullptr;
-  TgdProfile profile = GetTgdProfile(options.cache, omq.tgds, cache_counters);
-  if (ChoosePath(profile, options) == Path::kRewrite) {
-    OMQC_ASSIGN_OR_RETURN(
-        std::shared_ptr<const UnionOfCQs> rewriting,
-        CachedXRewrite(options.cache, omq.data_schema, omq.tgds, omq.query,
-                       GovernedRewriteOptions(options),
-                       stats != nullptr ? &stats->rewrite : nullptr,
-                       cache_counters));
-    auto answers = EvaluateUCQ(*rewriting, database, hom_options);
-    // The full answer set is the contract; a trip mid-enumeration means
-    // answers may be missing, so degrade to the trip status.
-    if (options.governor != nullptr && options.governor->tripped()) {
-      return options.governor->TripStatus();
-    }
-    return answers;
-  }
-  ChaseOptions chase_options = ChaseOptionsFor(profile, options);
-  chase_options.hom_counters = hom_options.counters;
+Result<std::vector<std::vector<Term>>> OmqEvaluator::Answers(
+    const Database& database, EngineStats* stats) const {
+  HomomorphismOptions hom;
+  hom.counters = stats != nullptr ? &stats->hom : nullptr;
+  hom.governor = options_.governor;
   // Chase-result caching: the chase of D under Σ is determined by (D, Σ,
   // chase options), and answers over an equal restored instance are
   // identical because EvaluateCQ only emits constant tuples ("nulls are
@@ -236,48 +209,88 @@ Result<std::vector<std::vector<Term>>> EvalAll(const Omq& omq,
   // (fixpoint) chases are cached; truncated chases depend on what stopped
   // them and are recomputed.
   std::shared_ptr<const CachedChase> chase_entry;
-  CacheKey chase_key;
-  if (options.cache != nullptr) {
-    chase_key = ChaseCacheKey(database, omq.tgds,
-                              ChaseOptionsDigestFor(chase_options));
-    chase_entry = options.cache->Get<CachedChase>(chase_key, cache_counters);
-  }
-  if (chase_entry == nullptr) {
-    OMQC_ASSIGN_OR_RETURN(ChaseResult chased,
-                          Chase(database, omq.tgds, chase_options));
-    RecordChase(chased, database.size(), stats);
-    if (!chased.complete) {
-      if (!chased.interrupt.ok()) return chased.interrupt;
-      return Status::ResourceExhausted(
-          StrCat("chase budget exhausted (", chased.instance.size(),
-                 " atoms); the answer set may be incomplete"));
+  if (chase_.has_value()) {
+    ChaseOptions chase_options = *chase_;
+    chase_options.hom_counters = hom.counters;
+    CacheCounters* cache_counters = stats != nullptr ? &stats->cache : nullptr;
+    OmqCache* cache = options_.cache;
+    CacheKey chase_key;
+    if (cache != nullptr) {
+      chase_key = ChaseCacheKey(database, *tgds_,
+                                ChaseOptionsDigestFor(chase_options));
+      chase_entry = cache->Get<CachedChase>(chase_key, cache_counters);
     }
-    auto computed = std::make_shared<CachedChase>();
-    computed->instance = std::move(chased.instance);
-    if (options.cache != nullptr) {
-      options.cache->Put<CachedChase>(chase_key, computed,
-                                      computed->instance.MemoryBytes(),
-                                      cache_counters);
+    if (chase_entry == nullptr) {
+      OMQC_ASSIGN_OR_RETURN(ChaseResult chased,
+                            Chase(database, *tgds_, chase_options));
+      RecordChase(chased, database.size(), stats);
+      if (!chased.complete) {
+        if (!chased.interrupt.ok()) return chased.interrupt;
+        return Status::ResourceExhausted(
+            StrCat("chase budget exhausted (", chased.instance.size(),
+                   " atoms); the answer set may be incomplete"));
+      }
+      auto computed = std::make_shared<CachedChase>();
+      computed->instance = std::move(chased.instance);
+      if (cache != nullptr) {
+        cache->Put<CachedChase>(chase_key, computed,
+                                computed->instance.MemoryBytes(),
+                                cache_counters);
+      }
+      chase_entry = std::move(computed);
+    } else if (options_.governor != nullptr) {
+      // A hit charges the growth the cold chase charged (the saturated
+      // instance's bytes over the database baseline), so the status under
+      // a memory budget does not depend on who warmed the cache.
+      const size_t saturated = chase_entry->instance.MemoryBytes();
+      const size_t baseline = database.MemoryBytes();
+      if (saturated > baseline) {
+        OMQC_RETURN_IF_ERROR(
+            options_.governor->ChargeBytes(saturated - baseline));
+      }
     }
-    chase_entry = std::move(computed);
-  } else if (options.governor != nullptr) {
-    // A hit charges the growth the cold chase charged (the saturated
-    // instance's bytes over the database baseline), so the status under a
-    // memory budget does not depend on who warmed the cache.
-    const size_t saturated = chase_entry->instance.MemoryBytes();
-    const size_t baseline = database.MemoryBytes();
-    if (saturated > baseline) {
-      OMQC_RETURN_IF_ERROR(
-          options.governor->ChargeBytes(saturated - baseline));
+    // On a hit no chase ran: the chase counters stay untouched (EngineStats
+    // counters mean work performed; the saved chase shows up in `cache`).
+  }
+  const Instance& target =
+      chase_entry != nullptr ? chase_entry->instance : database;
+  std::set<std::vector<Term>> answers;
+  for (const ConjunctiveQuery* q : match_) {
+    if (options_.governor != nullptr && options_.governor->tripped()) break;
+    for (std::vector<Term>& tuple : EvaluateCQ(*q, target, hom)) {
+      answers.insert(std::move(tuple));
     }
   }
-  // On a hit no chase ran: the chase counters stay untouched (EngineStats
-  // counters mean work performed; the saved chase shows up in `cache`).
-  auto answers = EvaluateCQ(omq.query, chase_entry->instance, hom_options);
-  if (options.governor != nullptr && options.governor->tripped()) {
-    return options.governor->TripStatus();
+  // The full answer set is the contract; a trip mid-enumeration means
+  // answers may be missing, so degrade to the trip status.
+  if (options_.governor != nullptr && options_.governor->tripped()) {
+    return options_.governor->TripStatus();
   }
-  return answers;
+  return std::vector<std::vector<Term>>(answers.begin(), answers.end());
+}
+
+Result<bool> EvalTuple(const Omq& omq, const Database& database,
+                       const std::vector<Term>& tuple,
+                       const EvalOptions& options, EngineStats* stats) {
+  GovernorStatsScope governor_scope{options.governor, stats};
+  OMQC_ASSIGN_OR_RETURN(OmqEvaluator evaluator,
+                        OmqEvaluator::Prepare(omq, options, stats));
+  OMQC_RETURN_IF_ERROR(CheckDatabaseSchema(omq, database));
+  if (tuple.size() != omq.AnswerArity()) {
+    return Status::InvalidArgument("answer tuple arity mismatch");
+  }
+  return evaluator.Contains(database, tuple, stats);
+}
+
+Result<std::vector<std::vector<Term>>> EvalAll(const Omq& omq,
+                                               const Database& database,
+                                               const EvalOptions& options,
+                                               EngineStats* stats) {
+  GovernorStatsScope governor_scope{options.governor, stats};
+  OMQC_ASSIGN_OR_RETURN(OmqEvaluator evaluator,
+                        OmqEvaluator::Prepare(omq, options, stats));
+  OMQC_RETURN_IF_ERROR(CheckDatabaseSchema(omq, database));
+  return evaluator.Answers(database, stats);
 }
 
 Result<bool> EvalBoolean(const Omq& omq, const Database& database,

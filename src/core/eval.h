@@ -1,10 +1,15 @@
 // OMQ evaluation Eval(C, CQ) (Sec. 2, Props. 1-4): certain answers of an
-// OMQ over a database, dispatched by ontology class:
+// OMQ over a database. One prepared evaluator (OmqEvaluator) makes the
+// class dispatch once and serves every membership check, both for the
+// entry points below and for the right-hand side of containment
+// (src/core/containment.h, via Thm. 11's small-witness argument):
 //
-//   * empty ontology        — direct CQ evaluation (NP data-independent);
-//   * non-recursive / full  — terminating restricted chase;
-//   * linear / sticky       — UCQ rewriting (XRewrite), then plain UCQ
+//   * empty ontology        — direct (U)CQ evaluation, no chase copy
+//                             (NP data-independent);
+//   * linear / sticky whose chase need not terminate
+//                           — UCQ rewriting (XRewrite), then plain UCQ
 //                             evaluation; always exact and terminating;
+//   * non-recursive / full  — terminating restricted chase;
 //   * guarded               — restricted chase with a derivation-level
 //                             budget (the Calì–Gottlob–Kifer bounded chase
 //                             prefix; see DESIGN.md); positive answers from
@@ -18,6 +23,8 @@
 #ifndef OMQC_CORE_EVAL_H_
 #define OMQC_CORE_EVAL_H_
 
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/omq_cache.h"
@@ -28,14 +35,9 @@
 
 namespace omqc {
 
-/// Budgets and strategy selection for evaluation.
+/// Budgets for evaluation. The evaluation path is always chosen by the
+/// ontology's class (see the file comment).
 struct EvalOptions {
-  enum class Strategy {
-    kAuto,     ///< dispatch on the ontology class (recommended)
-    kChase,    ///< force the chase path
-    kRewrite,  ///< force the rewriting path
-  };
-  Strategy strategy = Strategy::kAuto;
   /// Chase budgets used by the chase path for guarded/general ontologies.
   size_t chase_max_atoms = 200000;
   int chase_max_level = 16;
@@ -45,31 +47,77 @@ struct EvalOptions {
   size_t hom_max_steps = 0;
   /// Rewriting budgets for the rewriting path.
   XRewriteOptions rewrite;
-  /// Optional compilation cache consulted for ontology classification,
-  /// UCQ rewritings and complete chase results (null = no caching),
-  /// memory-only or disk-backed. Not owned; must outlive the call.
-  /// Sharing one cache across threads and calls is safe and is the point.
+  /// Optional compilation cache consulted for UCQ rewritings and complete
+  /// chase results (null = no caching), memory-only or disk-backed. Not
+  /// owned; must outlive the call. Sharing one cache across threads and
+  /// calls is safe and is the point.
   OmqCache* cache = nullptr;
   /// Optional shared request governor (base/governor.h), threaded into
   /// every chase, rewriting and homomorphism search the evaluation runs.
   /// A trip surfaces as the trip status (kDeadlineExceeded / kCancelled /
   /// kResourceExhausted); positive answers found before the trip remain
-  /// sound. Not owned; excluded from EvalOptionsDigest.
+  /// sound. Not owned.
   ResourceGovernor* governor = nullptr;
 };
 
-/// Digest of every EvalOptions field that can change an evaluation result
-/// (the cache and governor pointers are excluded: caching never changes
-/// results, and the governor only bounds resources — cached artifacts must
-/// stay reusable across differently-governed requests).
-/// Part of cache keys so artifacts compiled under different budgets never
-/// alias.
-uint64_t EvalOptionsDigest(const EvalOptions& options);
+/// A prepared evaluator for an OMQ (S, Σ, q) or a UCQ-OMQ
+/// (S, Σ, q1 ∨ … ∨ qn). Prepare classifies Σ once and, on the rewriting
+/// path, fetches or computes each disjunct's UCQ rewriting once (through
+/// options.cache); every later check reuses them.
+///
+/// Request-scoped: it keeps pointers into the OMQ it was prepared from and
+/// uses the options' cache and governor on every call, so it must not
+/// outlive any of them. It is never cached.
+class OmqEvaluator {
+ public:
+  /// Validates `omq` and prepares its evaluation. Rewriting work and cache
+  /// traffic are tallied into `stats` when non-null. Fails with the
+  /// rewriting's status when a budget stopped the RHS rewriting.
+  static Result<OmqEvaluator> Prepare(const Omq& omq,
+                                      const EvalOptions& options,
+                                      EngineStats* stats = nullptr);
+  static Result<OmqEvaluator> Prepare(const UcqOmq& omq,
+                                      const EvalOptions& options,
+                                      EngineStats* stats = nullptr);
 
-/// Is `tuple` a certain answer of Q over `database`? Exact for all
-/// decidable classes; ResourceExhausted when a budget prevented an exact
-/// negative answer. If `stats` is non-null, counters of the work performed
-/// (chase, rewriting, homomorphism search) are accumulated into it.
+  /// Is `tuple` a certain answer over `database`? True as soon as some
+  /// disjunct matches (sound even on a truncated chase); false only when
+  /// every disjunct was refuted exhaustively and the chase, if one ran,
+  /// reached its fixpoint. Otherwise ResourceExhausted (a homomorphism
+  /// step budget or the chase budget) or the governor's trip status.
+  /// `database` is not checked against the data schema (EvalTuple does).
+  Result<bool> Contains(const Database& database,
+                        const std::vector<Term>& tuple,
+                        EngineStats* stats = nullptr) const;
+
+  /// All certain answers over `database`, or an error status when a budget
+  /// or a trip may have hidden some.
+  Result<std::vector<std::vector<Term>>> Answers(
+      const Database& database, EngineStats* stats = nullptr) const;
+
+ private:
+  OmqEvaluator() = default;
+  static Result<OmqEvaluator> PrepareParts(
+      const Schema& data_schema, const TgdSet& tgds,
+      std::vector<const ConjunctiveQuery*> disjuncts,
+      const EvalOptions& options, EngineStats* stats);
+
+  const TgdSet* tgds_ = nullptr;
+  EvalOptions options_;
+  /// Set on the chase path; unset means `match_` is matched against the
+  /// database itself.
+  std::optional<ChaseOptions> chase_;
+  /// Keeps alive the rewritings `match_` points into.
+  std::vector<std::shared_ptr<const UnionOfCQs>> rewritings_;
+  /// The CQs a candidate tuple is matched against.
+  std::vector<const ConjunctiveQuery*> match_;
+};
+
+/// Is `tuple` a certain answer of Q over `database`? Prepares an
+/// OmqEvaluator and checks once: exact for all decidable classes;
+/// ResourceExhausted when a budget prevented an exact negative answer. If
+/// `stats` is non-null, counters of the work performed (chase, rewriting,
+/// homomorphism search) are accumulated into it.
 Result<bool> EvalTuple(const Omq& omq, const Database& database,
                        const std::vector<Term>& tuple,
                        const EvalOptions& options = EvalOptions(),

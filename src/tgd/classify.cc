@@ -456,6 +456,10 @@ TgdClass PrimaryClass(const TgdSet& tgds) {
   return TgdClass::kGeneral;
 }
 
+TgdProfile GetTgdProfile(const TgdSet& tgds) {
+  return TgdProfile{PrimaryClass(tgds), IsFull(tgds), IsNonRecursive(tgds)};
+}
+
 bool IsUcqRewritableClass(TgdClass c) {
   switch (c) {
     case TgdClass::kEmpty:

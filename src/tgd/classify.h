@@ -107,6 +107,21 @@ ClassificationReport Classify(const TgdSet& tgds);
 /// preference order L > NR > S > G > F (UCQ-rewritable and cheaper first).
 TgdClass PrimaryClass(const TgdSet& tgds);
 
+/// The classification facts the evaluation dispatcher (src/core/eval.h)
+/// needs.
+struct TgdProfile {
+  TgdClass primary = TgdClass::kEmpty;
+  bool full = false;
+  bool non_recursive = false;
+
+  /// True when the restricted chase provably reaches a fixpoint.
+  bool ChaseTerminates() const { return full || non_recursive; }
+};
+
+/// Classifies `tgds`. Never cached: classifying again is cheaper than
+/// fingerprinting the set for a cache lookup (EXPERIMENTS.md "CACHE").
+TgdProfile GetTgdProfile(const TgdSet& tgds);
+
 /// True iff the OMQ language (C, CQ) is UCQ-rewritable (Sec. 4): L, NR, S.
 bool IsUcqRewritableClass(TgdClass c);
 

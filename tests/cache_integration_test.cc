@@ -76,14 +76,18 @@ ContainmentResult CheckAllModes(const Omq& q1, const Omq& q2,
   auto warm = CheckContainment(q1, q2, options);
   EXPECT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ(warm->outcome, uncached->outcome) << "warm cached run differs";
-  // A query renamed apart is the same OMQ; it must reuse the entries.
+  // A query renamed apart is the same OMQ; it must reuse the entries the
+  // cold run inserted (a refuted run whose RHS chases inserts none: its
+  // stopped enumeration is not cached).
   auto renamed = CheckContainment(RenamedQuery(q1, "LC_"),
                                   RenamedQuery(q2, "RC_"), options);
   EXPECT_TRUE(renamed.ok()) << renamed.status().ToString();
   EXPECT_EQ(renamed->outcome, uncached->outcome)
       << "renamed cached run differs";
-  EXPECT_GT(renamed->stats.cache.hits, 0u)
-      << "renamed run failed to hit the cache";
+  if (cold->stats.cache.insertions > 0) {
+    EXPECT_GT(renamed->stats.cache.hits, 0u)
+        << "renamed run failed to hit the cache";
+  }
   return *warm;
 }
 
@@ -263,7 +267,6 @@ TEST(CacheEvalTest, GovernedChaseStatusIgnoresCacheTemperature) {
     ResourceGovernor governor;
     governor.set_memory_budget(budget_bytes);
     EvalOptions options;
-    options.strategy = EvalOptions::Strategy::kChase;
     options.cache = &cache;
     options.governor = &governor;
     return EvalAll(omq, db, options, stats);

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/containment.h"
+#include "core/frontend.h"
+#include "soak/scenario.h"
 #include "tgd/parser.h"
 
 namespace omqc {
@@ -229,6 +231,25 @@ TEST(ContainmentTest, ContainmentInPlainUcq) {
   EXPECT_EQ(refuted->outcome, ContainmentOutcome::kNotContained);
 }
 
+TEST(ContainmentTest, UcqRhsIgnoresDisjunctOrder) {
+  // Σ2 is guarded and neither linear, sticky nor non-recursive: its chase
+  // never saturates, so the S(X) disjunct can never be refuted. The
+  // R(X,Y) disjunct matches the frozen candidate outright, so the
+  // candidate is in the RHS whichever disjunct comes first.
+  Schema schema = S({{"R", 2}, {"A", 1}, {"S", 1}});
+  UcqOmq q1{schema, TgdSet(), ParseUCQ("Q() :- R(X,Y), A(X), A(Y).").value()};
+  const TgdSet sigma2 =
+      ParseTgds("R(X,Y), A(X), A(Y) -> R(Y,Z), A(Z).").value();
+  for (const char* rhs : {"Q() :- S(X). Q() :- R(X,Y).",
+                          "Q() :- R(X,Y). Q() :- S(X)."}) {
+    UcqOmq q2{schema, sigma2, ParseUCQ(rhs).value()};
+    auto result = CheckUcqOmqContainment(q1, q2);
+    ASSERT_TRUE(result.ok()) << rhs << ": " << result.status().ToString();
+    EXPECT_EQ(result->outcome, ContainmentOutcome::kContained)
+        << rhs << ": " << result->detail;
+  }
+}
+
 // ---------- Multi-disjunct enumeration. ----------
 
 /// A chain CQ Q(X0) :- pred(X0,X1), ..., pred(X_{len-1},X_len).
@@ -340,6 +361,99 @@ TEST(ContainmentTest, StatsReportPerLayerWork) {
   EXPECT_GT(result->stats.hom.searches, 0u);
   EXPECT_GT(result->stats.rewrite.queries_generated, 0u);
   EXPECT_FALSE(result->stats.ToString().empty());
+}
+
+// ---------- The engine's RHS check is EvalTuple. ----------
+
+/// Replays a containment request through the public layers, as the
+/// end-to-end benchmark's traced run does: EnumerateRewritings, Freeze
+/// each disjunct, EvalTuple against Q2. A refuting candidate gives
+/// NOT_CONTAINED, a saturated enumeration whose every check held gives
+/// CONTAINED, anything else UNKNOWN.
+ContainmentResult Replay(const Omq& q1, const Omq& q2,
+                         const ContainmentOptions& options) {
+  ContainmentResult result;
+  bool inconclusive = false;
+  auto on_disjunct = [&](const ConjunctiveQuery& p) {
+    ++result.candidates_checked;
+    FrozenQuery frozen = Freeze(p);
+    Result<bool> in =
+        EvalTuple(q2, frozen.database, frozen.answer_tuple, options.eval);
+    if (!in.ok()) {
+      inconclusive = true;
+      return true;
+    }
+    if (*in) return true;
+    result.witness = ContainmentWitness{std::move(frozen.database),
+                                        std::move(frozen.answer_tuple)};
+    return false;
+  };
+  auto enumeration = EnumerateRewritings(q1.data_schema, q1.tgds, q1.query,
+                                         options.rewrite, on_disjunct);
+  EXPECT_TRUE(enumeration.ok()) << enumeration.status().ToString();
+  if (result.witness.has_value()) {
+    result.outcome = ContainmentOutcome::kNotContained;
+  } else if (enumeration.ok() &&
+             *enumeration == RewriteEnumeration::kSaturated &&
+             !inconclusive) {
+    result.outcome = ContainmentOutcome::kContained;
+  }
+  return result;
+}
+
+TEST(ContainmentTest, EngineRhsCheckIsEvalTuple) {
+  // Small factory scenarios of every class and both polarities, at the
+  // soak's budgets: the engine and the replay agree on the outcome, the
+  // candidate count and the (prettified) witness.
+  ContainmentOptions options;
+  options.rewrite.max_queries = 120;
+  options.rewrite.max_steps = 20000;
+  options.rewrite.prune_subsumed = true;
+  std::vector<ScenarioSpec> specs;
+  for (TgdClass cls : {TgdClass::kLinear, TgdClass::kSticky,
+                       TgdClass::kNonRecursive, TgdClass::kGuarded}) {
+    for (bool contained : {true, false}) {
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        ScenarioSpec spec;
+        spec.seed = seed;
+        spec.tgd_class = cls;
+        spec.contained = contained;
+        spec.length = 2 + static_cast<int>(seed % 2);
+        spec.width = 1 + static_cast<int>(seed % 2);
+        spec.walk_depth = 1;
+        spec.decoy_tiles = 1;
+        // Contained guarded scenarios enumerate up to the budget; keep
+        // one whose candidates are cheap (6 candidates, UNKNOWN).
+        if (cls == TgdClass::kGuarded && contained) {
+          if (seed > 1) continue;
+          spec.length = 3;
+          spec.width = 1;
+          spec.walk_depth = 0;
+        }
+        specs.push_back(spec);
+      }
+    }
+  }
+  for (const ScenarioSpec& spec : specs) {
+    Scenario scenario = MakeScenario(spec);
+    Schema schema = InferProgramDataSchema(scenario.program);
+    auto q1 = SingleQueryNamed(scenario.program, schema, kLhsQuery);
+    auto q2 = SingleQueryNamed(scenario.program, schema, kRhsQuery);
+    ASSERT_TRUE(q1.ok() && q2.ok()) << spec.ToString();
+    auto engine = CheckContainment(*q1, *q2, options);
+    ASSERT_TRUE(engine.ok()) << spec.ToString();
+    ContainmentResult replay = Replay(*q1, *q2, options);
+    EXPECT_EQ(engine->outcome, replay.outcome) << spec.ToString();
+    EXPECT_EQ(engine->candidates_checked, replay.candidates_checked)
+        << spec.ToString();
+    ASSERT_EQ(engine->witness.has_value(), replay.witness.has_value())
+        << spec.ToString();
+    if (engine->witness.has_value()) {
+      EXPECT_EQ(PrettifiedCopy(engine->witness->database).ToString(),
+                PrettifiedCopy(replay.witness->database).ToString())
+          << spec.ToString();
+    }
+  }
 }
 
 TEST(ContainmentTest, OutcomeToString) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/eval.h"
+#include "logic/homomorphism.h"
 #include "tgd/parser.h"
 
 namespace omqc {
@@ -36,19 +37,66 @@ TEST(EvalTest, LinearOntologyViaRewriting) {
 }
 
 TEST(EvalTest, RewriteAndChaseAgreeOnLinear) {
+  // Linear and non-recursive: EvalAll chases. The rewriting path is
+  // exercised directly (XRewrite + EvaluateUCQ) as the oracle.
   Omq q = MakeOmq("A(X) -> R(X,Y). R(X,Y) -> B(Y).",
                   "Q(X) :- R(X,Y)", {{"A", 1}, {"R", 2}});
   Database db = Db("A(a). R(b,c).");
-  EvalOptions rewrite_options;
-  rewrite_options.strategy = EvalOptions::Strategy::kRewrite;
-  EvalOptions chase_options;
-  chase_options.strategy = EvalOptions::Strategy::kChase;
-  chase_options.chase_max_level = 10;
-  auto via_rewrite = EvalAll(q, db, rewrite_options);
-  auto via_chase = EvalAll(q, db, chase_options);
-  ASSERT_TRUE(via_rewrite.ok());
+  auto rewriting = XRewrite(q.data_schema, q.tgds, q.query);
+  ASSERT_TRUE(rewriting.ok());
+  ChaseOptions chase_options;
+  chase_options.max_level = 10;
+  auto via_chase = CertainAnswersViaChase(q.query, db, q.tgds, chase_options);
+  auto via_eval = EvalAll(q, db);
   ASSERT_TRUE(via_chase.ok());
-  EXPECT_EQ(*via_rewrite, *via_chase);
+  ASSERT_TRUE(via_eval.ok());
+  EXPECT_EQ(EvaluateUCQ(*rewriting, db), *via_chase);
+  EXPECT_EQ(*via_eval, *via_chase);
+  EXPECT_EQ(via_eval->size(), 2u);
+}
+
+TEST(EvalTest, PlainUcqIsMatchedWithoutAChase) {
+  UcqOmq q{Schema(), TgdSet(),
+           UnionOfCQs({ParseQuery("Q(X) :- R(X,Y)").value(),
+                       ParseQuery("Q(X) :- S(X)").value()})};
+  q.data_schema.Add(Predicate::Get("R", 2));
+  q.data_schema.Add(Predicate::Get("S", 1));
+  EngineStats stats;
+  auto evaluator = OmqEvaluator::Prepare(q, EvalOptions(), &stats);
+  ASSERT_TRUE(evaluator.ok());
+  Database db = Db("R(a,b). S(c).");
+  auto answers = evaluator->Answers(db, &stats);
+  ASSERT_TRUE(answers.ok());
+  EXPECT_EQ(answers->size(), 2u);
+  auto has_c = evaluator->Contains(db, {Term::Constant("c")}, &stats);
+  ASSERT_TRUE(has_c.ok());
+  EXPECT_TRUE(*has_c);
+  auto has_b = evaluator->Contains(db, {Term::Constant("b")}, &stats);
+  ASSERT_TRUE(has_b.ok());
+  EXPECT_FALSE(*has_b);
+  EXPECT_EQ(stats.chase_delta_rounds, 0u);
+}
+
+TEST(EvalTest, UcqMembershipIgnoresDisjunctOrderOnATruncatedChase) {
+  // Guarded, infinite chase: S(X) never matches, so only a truncated chase
+  // can refute it; R(X,Y) matches the database. Either order answers true.
+  const ConjunctiveQuery s = ParseQuery("Q() :- S(X)").value();
+  const ConjunctiveQuery r = ParseQuery("Q() :- R(X,Y)").value();
+  for (const UnionOfCQs& ucq : {UnionOfCQs({s, r}), UnionOfCQs({r, s})}) {
+    const std::string order = ucq.disjuncts.front().ToString();
+    UcqOmq q{Schema(), ParseTgds("A(X), C(X) -> R(X,Y), A(Y), C(Y).").value(),
+             ucq};
+    for (const char* p : {"A", "C", "S"}) {
+      q.data_schema.Add(Predicate::Get(p, 1));
+    }
+    EvalOptions options;
+    options.chase_max_level = 3;
+    auto evaluator = OmqEvaluator::Prepare(q, options);
+    ASSERT_TRUE(evaluator.ok()) << order;
+    auto result = evaluator->Contains(Db("A(a). C(a)."), {});
+    ASSERT_TRUE(result.ok()) << order << ": " << result.status().ToString();
+    EXPECT_TRUE(*result) << order;
+  }
 }
 
 TEST(EvalTest, NonRecursiveViaChase) {

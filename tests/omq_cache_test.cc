@@ -40,11 +40,11 @@ TEST(OmqCacheTest, MissThenHit) {
 TEST(OmqCacheTest, SameFingerprintDifferentKindOrDigestDoNotAlias) {
   OmqCache cache;
   CacheKey rewriting = KeyFor(7, ArtifactKind::kRewriting);
-  CacheKey classification = KeyFor(7, ArtifactKind::kClassification);
+  CacheKey chase = KeyFor(7, ArtifactKind::kChasedInstance);
   CacheKey other_digest = rewriting;
   other_digest.options_digest = 42;
   cache.Put<std::string>(rewriting, Value("rw"), 1);
-  EXPECT_EQ(cache.Get<std::string>(classification), nullptr);
+  EXPECT_EQ(cache.Get<std::string>(chase), nullptr);
   EXPECT_EQ(cache.Get<std::string>(other_digest), nullptr);
   ASSERT_NE(cache.Get<std::string>(rewriting), nullptr);
 }

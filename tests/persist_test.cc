@@ -124,8 +124,7 @@ TEST(SerializeTest, RewritingRoundTripsAcrossClasses) {
     original->ucq = std::move(*ucq);
 
     ByteWriter out;
-    ASSERT_TRUE(
-        SerializeArtifact(ArtifactKind::kRewriting, original.get(), out));
+    SerializeArtifact(ArtifactKind::kRewriting, original.get(), out);
     std::string bytes = out.Take();
     ByteReader in(bytes);
     auto decoded = DeserializeArtifact(ArtifactKind::kRewriting, in);
@@ -166,8 +165,7 @@ TEST(SerializeTest, RewritingRoundTripsOnFactoryScenarios) {
       original->ucq = std::move(*ucq);
 
       ByteWriter out;
-      ASSERT_TRUE(
-          SerializeArtifact(ArtifactKind::kRewriting, original.get(), out));
+      SerializeArtifact(ArtifactKind::kRewriting, original.get(), out);
       std::string bytes = out.Take();
       ByteReader in(bytes);
       auto decoded = DeserializeArtifact(ArtifactKind::kRewriting, in);
@@ -178,39 +176,6 @@ TEST(SerializeTest, RewritingRoundTripsOnFactoryScenarios) {
           << TgdClassToString(cls) << " seed " << seed;
     }
   }
-}
-
-TEST(SerializeTest, TgdProfileRoundTrips) {
-  const char* ontologies[] = {
-      "A(X) -> B(X).",                           // linear, full, NR
-      "E(X,Y) -> E(Y,X).",                       // guarded recursive
-      "R(X,Y), R(Y,Z) -> T(X,Z).",               // sticky full
-  };
-  for (const char* text : ontologies) {
-    TgdProfile original = GetTgdProfile(nullptr, ParseTgds(text).value());
-    ByteWriter out;
-    ASSERT_TRUE(SerializeArtifact(ArtifactKind::kClassification, &original,
-                                  out));
-    std::string bytes = out.Take();
-    ByteReader in(bytes);
-    auto decoded = DeserializeArtifact(ArtifactKind::kClassification, in);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    const auto* restored =
-        static_cast<const TgdProfile*>(decoded->value.get());
-    EXPECT_EQ(restored->primary, original.primary) << text;
-    EXPECT_EQ(restored->linear, original.linear);
-    EXPECT_EQ(restored->guarded, original.guarded);
-    EXPECT_EQ(restored->full, original.full);
-    EXPECT_EQ(restored->non_recursive, original.non_recursive);
-    EXPECT_EQ(restored->sticky, original.sticky);
-  }
-}
-
-TEST(SerializeTest, RhsEvaluatorIsNotPersistable) {
-  EXPECT_FALSE(ArtifactKindPersistable(ArtifactKind::kRhsEvaluator));
-  ByteWriter out;
-  int dummy = 0;
-  EXPECT_FALSE(SerializeArtifact(ArtifactKind::kRhsEvaluator, &dummy, out));
 }
 
 // ---------------------------------------------------------------------------
@@ -454,7 +419,7 @@ std::vector<CacheKey> SeedStore(const std::string& dir,
   auto store = PersistentStore::Open(dir);
   EXPECT_TRUE(store.ok());
   CacheKey k1{Fingerprint{0x1111, 0x2222}, 7, ArtifactKind::kRewriting};
-  CacheKey k2{Fingerprint{0x3333, 0x4444}, 9, ArtifactKind::kClassification};
+  CacheKey k2{Fingerprint{0x3333, 0x4444}, 9, ArtifactKind::kChasedInstance};
   *payload1 = "the first payload";
   *payload2 = "a second, slightly longer payload";
   (*store)->Append(k1, kArtifactPayloadVersion, *payload1);
@@ -558,6 +523,58 @@ TEST(CorruptionTest, ForeignSegmentVersionIsRejectedNotLoaded) {
   EXPECT_EQ((*store)->stats().entries, 0u);
   EXPECT_GE((*store)->stats().version_rejects, 1u);
   EXPECT_EQ((*store)->Lookup(keys[0]), nullptr);
+}
+
+TEST(CorruptionTest, PreviousFormatVersionIsRecompiledCold) {
+  // A directory written by the previous segment format (same records,
+  // version field one lower, manifest checksum valid) is rejected whole:
+  // the warm run recompiles and prints the same report.
+  std::string dir = FreshDir("prevversion");
+  Omq q1 = MakeOmq(S({{"Edge", 2}, {"Conn", 2}}), "Edge(X,Y) -> Conn(X,Y).",
+                   "Q(X) :- Conn(X,Y), Conn(Y,Z)");
+  Omq q2 = MakeOmq(S({{"Edge", 2}, {"Conn", 2}}), "Edge(X,Y) -> Conn(X,Y).",
+                   "Q(X) :- Conn(X,Y)");
+  std::string cold_report;
+  {
+    auto store = OmqCache::Open(OmqCacheConfig(), dir);
+    ASSERT_TRUE(store.ok());
+    ContainmentOptions options;
+    options.cache = store->get();
+    auto result = CheckContainment(q1, q2, options);
+    ASSERT_TRUE(result.ok());
+    cold_report = FormatContainmentReport("Q1", "Q2", *result);
+    (*store)->Flush();
+  }
+  auto set_version = [](std::string* bytes, uint32_t version) {
+    for (int i = 0; i < 4; ++i) {
+      (*bytes)[4 + i] = static_cast<char>((version >> (8 * i)) & 0xFF);
+    }
+  };
+  const uint32_t previous = kSegmentFormatVersion - 1;
+  std::string seg_path = SegmentPath(dir);
+  std::string segment = ReadFile(seg_path);
+  set_version(&segment, previous);
+  WriteFile(seg_path, segment);
+  const std::string manifest_path = dir + "/MANIFEST";
+  std::string manifest = ReadFile(manifest_path);
+  ASSERT_GE(manifest.size(), 16u);
+  set_version(&manifest, previous);
+  ByteWriter checksum;
+  checksum.U64(Xxh64(manifest.data(), manifest.size() - 8));
+  manifest.replace(manifest.size() - 8, 8, checksum.Take());
+  WriteFile(manifest_path, manifest);
+
+  auto warm = OmqCache::Open(OmqCacheConfig(), dir);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ((*warm)->Stats().persist_entries, 0u);
+  EXPECT_GE((*warm)->Stats().persist_version_rejects, 1u);
+  ContainmentOptions options;
+  options.cache = warm->get();
+  auto result = CheckContainment(q1, q2, options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(FormatContainmentReport("Q1", "Q2", *result), cold_report);
+  EXPECT_EQ(result->stats.cache.persist_hits, 0u);
+  EXPECT_GT(result->stats.rewrite.queries_generated, 0u);
 }
 
 TEST(CorruptionTest, ForeignPayloadVersionIsInvisible) {
