@@ -122,6 +122,13 @@ Result<ChaseResult> Chase(const Instance& database, const TgdSet& tgds,
     Status st = governor->ChargeBytes(delta);
     if (!st.ok()) governor_trip(st);
   };
+  // Fresh nulls are numbered per run, above every null of the input.
+  int32_t next_null = 0;
+  for (AtomId id = 0; id < database.size(); ++id) {
+    for (const Term& t : database.view(id)) {
+      if (t.IsNull()) next_null = std::max(next_null, t.id() + 1);
+    }
+  }
   // Reusable image buffer for trigger applications (no per-atom allocs).
   std::vector<Term> scratch;
   bool changed = true;
@@ -257,7 +264,7 @@ Result<ChaseResult> Chase(const Instance& database, const TgdSet& tgds,
         // premise ids were resolved above, before the binding is extended
         // in place — the trigger is dead after this iteration, no copy).
         for (const Term& z : tgd.ExistentialVariables()) {
-          trigger.Bind(z, Term::FreshNull());
+          trigger.Bind(z, Term::NullWithId(next_null++));
         }
         for (const Atom& h : tgd.head) {
           Instance::AddOutcome added = result.instance.AddView(

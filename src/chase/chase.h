@@ -125,7 +125,9 @@ struct ChaseResult {
 
 /// Runs the chase of `database` under `tgds`. Returns a (possibly
 /// truncated) result; `result.complete` reports whether the fixpoint was
-/// reached. Only returns an error Status for ill-formed inputs.
+/// reached. Only returns an error Status for ill-formed inputs. Fresh
+/// nulls are numbered from 1 + the largest null id in `database` (from 0
+/// for a database), so the output is a pure function of the inputs.
 Result<ChaseResult> Chase(const Instance& database, const TgdSet& tgds,
                           const ChaseOptions& options = ChaseOptions());
 

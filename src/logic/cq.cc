@@ -1,7 +1,6 @@
 #include "logic/cq.h"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <map>
 #include <unordered_map>
@@ -151,18 +150,14 @@ std::string ConjunctiveQuery::ToString() const {
                            [](const Atom& a) { return a.ToString(); }));
 }
 
-FrozenQuery Freeze(const ConjunctiveQuery& q, const std::string& tag) {
-  // Atomic: concurrent requests on the server's worker pool freeze
-  // candidate disjuncts at the same time.
-  static std::atomic<int64_t> freeze_counter{0};
-  int64_t stamp = freeze_counter.fetch_add(1, std::memory_order_relaxed);
-  FrozenQuery out;
+FrozenQuery Freeze(const ConjunctiveQuery& q) {
+  Substitution freezing;
   for (const Term& v : q.Variables()) {
-    out.freezing.Bind(
-        v, Term::Constant(StrCat("@f", stamp, tag, "_", v.ToString())));
+    freezing.Bind(v, Term::Constant(StrCat("@f_", v.ToString())));
   }
-  for (const Atom& a : q.body) out.database.Add(out.freezing.Apply(a));
-  out.answer_tuple = out.freezing.Apply(q.answer_vars);
+  FrozenQuery out;
+  for (const Atom& a : q.body) out.database.Add(freezing.Apply(a));
+  out.answer_tuple = freezing.Apply(q.answer_vars);
   return out;
 }
 

@@ -77,13 +77,12 @@ struct FrozenQuery {
   Database database;
   /// The image of the answer tuple under freezing.
   std::vector<Term> answer_tuple;
-  /// Variable -> frozen constant map.
-  Substitution freezing;
 };
 
-/// Freezes `q`, mapping each variable to a fresh constant "@f<k>_<name>".
-/// `tag` disambiguates freezings in the same process.
-FrozenQuery Freeze(const ConjunctiveQuery& q, const std::string& tag = "");
+/// Freezes `q`, mapping each variable X to the constant "@f_X": a pure
+/// function of `q`, distinct from every constant a program can name (the
+/// parser reserves '@'), so a repeated freeze interns nothing new.
+FrozenQuery Freeze(const ConjunctiveQuery& q);
 
 /// A union of conjunctive queries q1(x̄) ∨ ... ∨ qn(x̄).
 struct UnionOfCQs {

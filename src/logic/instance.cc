@@ -288,6 +288,7 @@ std::vector<Instance> Instance::ConnectedComponents() const {
 }
 
 Database PrettifiedCopy(const Database& db, const std::string& prefix) {
+  const std::vector<Term> used = db.ActiveDomainConstants();  // sorted
   std::map<Term, Term> rename;
   int counter = 0;
   Database out;
@@ -297,7 +298,10 @@ Database PrettifiedCopy(const Database& db, const std::string& prefix) {
       if (!t.IsConstant() || t.ToString().rfind('@', 0) != 0) continue;
       auto it = rename.find(t);
       if (it == rename.end()) {
-        Term fresh = Term::Constant(prefix + std::to_string(counter++));
+        Term fresh;
+        do {
+          fresh = Term::Constant(prefix + std::to_string(counter++));
+        } while (std::binary_search(used.begin(), used.end(), fresh));
         it = rename.emplace(t, fresh).first;
       }
       t = it->second;
@@ -308,15 +312,12 @@ Database PrettifiedCopy(const Database& db, const std::string& prefix) {
 }
 
 std::string Instance::ToString() const {
-  std::vector<Atom> sorted;
-  sorted.reserve(records_.size());
-  for (AtomId id = 0; id < records_.size(); ++id) {
-    sorted.push_back(MaterializeAtom(id));
-  }
-  std::sort(sorted.begin(), sorted.end());
   std::vector<std::string> lines;
-  lines.reserve(sorted.size());
-  for (const Atom& a : sorted) lines.push_back(a.ToString() + ".");
+  lines.reserve(records_.size());
+  for (AtomId id = 0; id < records_.size(); ++id) {
+    lines.push_back(MaterializeAtom(id).ToString() + ".");
+  }
+  std::sort(lines.begin(), lines.end());
   return JoinStrings(lines, "\n");
 }
 

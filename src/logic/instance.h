@@ -236,12 +236,12 @@ class Instance {
   void Snapshot(ByteWriter& out) const;
 
   /// Inverse of Snapshot. Terms are re-interned by name (so the snapshot
-  /// is stable across processes and interning orders); restored null ids
-  /// are reserved via Term::ReserveNullIds so later FreshNull calls never
-  /// collide. Fails (without crashing) on truncated or malformed input.
+  /// is stable across processes and interning orders); nulls keep their
+  /// ids. Fails (without crashing) on truncated or malformed input.
   static Result<Instance> Restore(ByteReader& in);
 
-  /// Multi-line listing "R(a,b). S(b)." sorted for stable output.
+  /// Multi-line listing "R(a,b). S(b).", its lines sorted as text so the
+  /// order never depends on what the process interned earlier.
   std::string ToString() const;
 
   bool operator==(const Instance& other) const {
@@ -333,7 +333,8 @@ using Database = Instance;
 
 /// Returns a copy of `db` with every machine-generated constant (names
 /// starting with '@') renamed to `prefix`0, `prefix`1, ... in first-
-/// occurrence order. Used to display frozen witness databases.
+/// occurrence order, skipping any name a constant of `db` already has.
+/// Used to display frozen witness databases.
 Database PrettifiedCopy(const Database& db, const std::string& prefix = "c");
 
 }  // namespace omqc

@@ -1,6 +1,5 @@
 #include "logic/serialize.h"
 
-#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -186,10 +185,8 @@ Result<Instance> Instance::Restore(ByteReader& in) {
   }
   std::vector<Term> terms;
   terms.reserve(n_terms);
-  int32_t max_null_id = -1;
   for (uint32_t i = 0; i < n_terms; ++i) {
     OMQC_ASSIGN_OR_RETURN(Term t, DeserializeTerm(in));
-    if (t.IsNull()) max_null_id = std::max(max_null_id, t.id());
     terms.push_back(t);
   }
   uint32_t n_atoms = in.U32();
@@ -215,7 +212,6 @@ Result<Instance> Instance::Restore(ByteReader& in) {
     }
     instance.AddView(AtomView(p, args.data(), args.size()));
   }
-  if (max_null_id >= 0) Term::ReserveNullIds(max_null_id + 1);
   return instance;
 }
 

@@ -6,8 +6,8 @@
 //   * Constants, variables and predicates are written by *name*, never by
 //     interned id, so payloads are stable across processes and interning
 //     orders and deserialization re-interns under the reader's tables.
-//   * Nulls are written by id (they have no name); Instance::Restore
-//     reserves the restored range so later FreshNull calls cannot alias.
+//   * Nulls are written by id (they have no name) and restored as is; a
+//     chase of a restored instance numbers its nulls above them.
 //   * Deserializers are total over arbitrary bytes: malformed input
 //     yields an error Status (via ByteReader's latched failure state),
 //     never a crash or an out-of-bounds read.

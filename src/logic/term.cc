@@ -1,6 +1,5 @@
 #include "logic/term.h"
 
-#include <atomic>
 #include <deque>
 #include <mutex>
 #include <unordered_map>
@@ -45,11 +44,6 @@ Interner& VariableInterner() {
   return *interner;
 }
 
-std::atomic<int32_t>& NullCounter() {
-  static std::atomic<int32_t>* counter = new std::atomic<int32_t>(0);
-  return *counter;
-}
-
 }  // namespace
 
 Term Term::Constant(const std::string& name) {
@@ -60,21 +54,7 @@ Term Term::Variable(const std::string& name) {
   return Term(TermKind::kVariable, VariableInterner().Intern(name));
 }
 
-Term Term::FreshNull() {
-  return Term(TermKind::kNull,
-              NullCounter().fetch_add(1, std::memory_order_relaxed));
-}
-
 Term Term::NullWithId(int32_t id) { return Term(TermKind::kNull, id); }
-
-void Term::ReserveNullIds(int32_t bound) {
-  std::atomic<int32_t>& counter = NullCounter();
-  int32_t current = counter.load(std::memory_order_relaxed);
-  while (current < bound &&
-         !counter.compare_exchange_weak(current, bound,
-                                        std::memory_order_relaxed)) {
-  }
-}
 
 std::string Term::ToString() const {
   switch (kind_) {

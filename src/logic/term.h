@@ -2,9 +2,12 @@
 //
 // Terms are small value types backed by a process-wide interning table, so
 // equality and hashing are O(1) integer operations. The interning tables
-// and the fresh-null counter are synchronized: the server
-// (src/server/server.cc) runs requests, which intern terms, on several
-// worker threads.
+// are synchronized: the server (src/server/server.cc) runs requests, which
+// intern terms, on several worker threads.
+//
+// Nulls are not interned: a null is an id, numbered by whoever mints it
+// (the chase starts above the largest null of its input). Constant names
+// starting with '@' are reserved for the engine (DESIGN.md "Term lifetime").
 
 #ifndef OMQC_LOGIC_TERM_H_
 #define OMQC_LOGIC_TERM_H_
@@ -33,15 +36,8 @@ class Term {
   static Term Constant(const std::string& name);
   /// Interns (or looks up) the variable named `name`.
   static Term Variable(const std::string& name);
-  /// Creates a fresh labeled null, distinct from all existing nulls.
-  static Term FreshNull();
-  /// Returns the null with the given id (for deterministic test setups and
-  /// arena snapshot restore).
+  /// Returns the null with the given id; equal ids are the same null.
   static Term NullWithId(int32_t id);
-  /// Bumps the fresh-null counter to at least `bound`, so nulls restored
-  /// from a snapshot (whose ids were allocated by another process) can
-  /// never collide with nulls this process creates afterwards.
-  static void ReserveNullIds(int32_t bound);
 
   TermKind kind() const { return kind_; }
   int32_t id() const { return id_; }

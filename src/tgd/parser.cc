@@ -164,19 +164,23 @@ class Parser {
   }
 
   Result<Term> ParseTerm() {
-    if (At(TokenKind::kQuoted)) {
-      return Term::Constant(Next().text);
-    }
-    if (!At(TokenKind::kIdent)) {
+    const bool quoted = At(TokenKind::kQuoted);
+    if (!quoted && !At(TokenKind::kIdent)) {
       const Status st = Error("expected a term");
       return st;
     }
-    std::string name = Next().text;
-    char first = name[0];
-    if (std::isupper(static_cast<unsigned char>(first)) || first == '_') {
-      return Term::Variable(name);
+    const std::string& name = Peek().text;
+    if (!quoted && (std::isupper(static_cast<unsigned char>(name[0])) ||
+                    name[0] == '_')) {
+      return Term::Variable(Next().text);
     }
-    return Term::Constant(name);
+    // '@' names engine-made constants such as Freeze's "@f_X".
+    if (name.rfind('@', 0) == 0) {
+      const Status st =
+          Error(StrCat("constant '", name, "' uses the reserved '@' prefix"));
+      return st;
+    }
+    return Term::Constant(Next().text);
   }
 
   Result<Atom> ParseAtom() {

@@ -13,6 +13,7 @@
 #include "base/status.h"
 #include "base/string_util.h"
 #include "base/thread_pool.h"
+#include "logic/cq.h"
 #include "tgd/parser.h"
 
 namespace omqc {
@@ -210,13 +211,21 @@ TEST(ThreadPoolTest, WaitReturnsWhenTasksExitEarlyViaToken) {
 }
 
 TEST(PrettifyTest, RenamesMachineConstantsOnly) {
-  Database db =
-      ParseDatabase("R('@f1_X','@f1_Y'). P('@f1_X'). P(user).").value();
+  Database db = Freeze(ParseQuery("Q() :- R(X,Y), P(X), P(user)").value())
+                    .database;
   Database pretty = PrettifiedCopy(db);
   EXPECT_TRUE(pretty.Contains(ParseAtom("P(user)").value()));
   EXPECT_TRUE(pretty.Contains(ParseAtom("P(c0)").value()));
   EXPECT_TRUE(pretty.Contains(ParseAtom("R(c0,c1)").value()));
   EXPECT_EQ(pretty.size(), db.size());
+}
+
+TEST(PrettifyTest, FreshNamesSkipConstantsTheDatabaseHolds) {
+  // The witness of Q1() :- R(X,c0) against Q2() :- R(Y,Y): naming the
+  // frozen X "c0" would print R(c0,c0), a database Q2 holds on.
+  Database db = Freeze(ParseQuery("Q() :- R(X,c0)").value()).database;
+  Database pretty = PrettifiedCopy(db);
+  EXPECT_EQ(pretty.ToString(), "R(c1,c0).");
 }
 
 }  // namespace

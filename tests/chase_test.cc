@@ -57,6 +57,32 @@ TEST_P(ChaseStrategyTest, SingleStepCreatesNull) {
   EXPECT_TRUE(found);
 }
 
+TEST_P(ChaseStrategyTest, RepeatedChasesAreIdentical) {
+  // Nulls are numbered per run: the same input gives the same instance,
+  // null ids and "_:n<id>" text included.
+  Database db = Db("P(a). P(b). R(a,b).");
+  TgdSet tgds = Tgds("P(X) -> R(X,Y). R(X,Y) -> S(Y,Z).");
+  ChaseResult first = Chase(db, tgds, Opts()).value();
+  ChaseResult second = Chase(db, tgds, Opts()).value();
+  EXPECT_TRUE(first.instance == second.instance);
+  EXPECT_EQ(first.instance.ToString(), second.instance.ToString());
+}
+
+TEST_P(ChaseStrategyTest, NewNullsStartAboveInputNulls) {
+  const int32_t k = 1000000;
+  Instance input;
+  input.Add(Atom::Make("P", {Term::NullWithId(k)}));
+  input.Add(Atom::Make("P", {Term::Constant("a")}));
+  ChaseResult result =
+      Chase(input, Tgds("P(X) -> R(X,Y)."), Opts()).value();
+  EXPECT_EQ(result.instance.size(), 4u);
+  for (AtomId id : result.instance.IdsWith(Predicate::Get("R", 2))) {
+    AtomView a = result.instance.view(id);
+    ASSERT_TRUE(a.arg(1).IsNull());
+    EXPECT_GT(a.arg(1).id(), k);
+  }
+}
+
 TEST_P(ChaseStrategyTest, RestrictedChaseSkipsSatisfiedHeads) {
   // R(a,b) already satisfies the head for X=a.
   ChaseResult result =

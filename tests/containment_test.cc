@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/string_util.h"
 #include "core/containment.h"
 #include "core/frontend.h"
 #include "soak/scenario.h"
@@ -453,6 +454,39 @@ TEST(ContainmentTest, EngineRhsCheckIsEvalTuple) {
                 PrettifiedCopy(replay.witness->database).ToString())
           << spec.ToString();
     }
+  }
+}
+
+// ---------- A request's terms die with it. ----------
+
+/// The id the next new constant gets: a sentinel interned now.
+int32_t NextConstantId() {
+  static int sentinels = 0;
+  return Term::Constant(StrCat("repeat_sentinel_", sentinels++)).id() + 1;
+}
+
+TEST(ContainmentTest, RepeatedRequestInternsNoNewConstants) {
+  // Scenario 1 of seed 11 is sticky and contained, 3 is guarded and not
+  // contained. Freezing names variables, not calls, and the chase's nulls
+  // are not interned, so the second run finds every name it needs.
+  for (uint64_t index : {1, 3}) {
+    Scenario s = MakeScenario(SpecForIndex(11, index));
+    Schema schema = InferProgramDataSchema(s.program);
+    Omq q1 = SingleQueryNamed(s.program, schema, kLhsQuery).value();
+    Omq q2 = SingleQueryNamed(s.program, schema, kRhsQuery).value();
+    ContainmentOptions options;
+    options.rewrite.max_queries = 120;
+    options.rewrite.max_steps = 20000;
+    auto first = CheckContainment(q1, q2, options);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_EQ(first->outcome, s.expected) << s.spec.ToString();
+    const int32_t before = NextConstantId();
+    auto second = CheckContainment(q1, q2, options);
+    const int32_t after = NextConstantId();
+    ASSERT_TRUE(second.ok());
+    EXPECT_EQ(second->outcome, first->outcome);
+    EXPECT_EQ(after - before, 1) << "index " << index << " interned "
+                                 << after - before - 1 << " constants";
   }
 }
 

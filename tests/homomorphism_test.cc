@@ -141,7 +141,7 @@ TEST(EvaluateCQTest, CollectsConstantTuples) {
 
 TEST(EvaluateCQTest, NullsAreNotAnswers) {
   Instance inst;
-  Term n = Term::FreshNull();
+  Term n = Term::NullWithId(0);
   inst.Add(Atom::Make("R", {Term::Constant("a"), n}));
   auto answers = EvaluateCQ(Q("Q(X,Y) :- R(X,Y)"), inst);
   EXPECT_TRUE(answers.empty());  // (a, null) filtered out

@@ -250,7 +250,7 @@ TEST(TermValidityTest, FactoriesProduceValidTermsDefaultDoesNot) {
   EXPECT_FALSE(Term().valid());
   EXPECT_TRUE(Term::Constant("a").valid());
   EXPECT_TRUE(Term::Variable("X").valid());
-  EXPECT_TRUE(Term::FreshNull().valid());
+  EXPECT_TRUE(Term::NullWithId(0).valid());
 }
 
 #ifndef NDEBUG

@@ -29,18 +29,10 @@ TEST(TermTest, VariablesAreDistinctFromConstants) {
   EXPECT_TRUE(c.IsConstant());
 }
 
-TEST(TermTest, FreshNullsAreDistinct) {
-  Term n1 = Term::FreshNull();
-  Term n2 = Term::FreshNull();
-  EXPECT_NE(n1, n2);
-  EXPECT_TRUE(n1.IsNull());
-  EXPECT_EQ(n1, Term::NullWithId(n1.id()));
-}
-
 TEST(TermTest, TotalOrderIsConsistent) {
   Term a = Term::Constant("a");
   Term x = Term::Variable("X");
-  Term n = Term::FreshNull();
+  Term n = Term::NullWithId(0);
   EXPECT_TRUE(a < n || n < a);
   EXPECT_TRUE(a < x || x < a);
   EXPECT_FALSE(a < a);
@@ -97,12 +89,29 @@ TEST(InstanceTest, AddDeduplicatesAndIndexes) {
 
 TEST(InstanceTest, ActiveDomainAndSchema) {
   Instance inst;
-  inst.Add(Atom::Make("R", {Term::Constant("a"), Term::FreshNull()}));
+  inst.Add(Atom::Make("R", {Term::Constant("a"), Term::NullWithId(0)}));
   inst.Add(Atom::Make("P", {Term::Constant("a")}));
   EXPECT_EQ(inst.ActiveDomain().size(), 2u);
   EXPECT_EQ(inst.ActiveDomainConstants().size(), 1u);
   EXPECT_EQ(inst.InducedSchema().size(), 2u);
   EXPECT_FALSE(inst.IsDatabase());
+}
+
+TEST(InstanceTest, ToStringIgnoresInterningOrder) {
+  // Intern the predicates and constants in reverse order: the listing is
+  // sorted as text, not by interned id, so it still reads A before B.
+  Predicate b = Predicate::Get("ToStringOrderB", 2);
+  Predicate a = Predicate::Get("ToStringOrderA", 2);
+  Term y = Term::Constant("to_string_y");
+  Term x = Term::Constant("to_string_x");
+  Instance inst;
+  inst.Add(Atom(b, {y, x}));
+  inst.Add(Atom(a, {y, x}));
+  inst.Add(Atom(a, {x, y}));
+  EXPECT_EQ(inst.ToString(),
+            "ToStringOrderA(to_string_x,to_string_y).\n"
+            "ToStringOrderA(to_string_y,to_string_x).\n"
+            "ToStringOrderB(to_string_y,to_string_x).");
 }
 
 TEST(InstanceTest, InducedSubinstance) {
@@ -165,6 +174,15 @@ TEST(CQTest, FreezeProducesCanonicalDatabase) {
   EXPECT_TRUE(frozen.database.IsDatabase());
   EXPECT_EQ(frozen.answer_tuple.size(), 1u);
   EXPECT_TRUE(frozen.answer_tuple[0].IsConstant());
+}
+
+TEST(CQTest, FreezeIsAPureFunctionOfTheQuery) {
+  ConjunctiveQuery q = ParseQuery("Q(X) :- R(X,Y), P(Y)").value();
+  FrozenQuery first = Freeze(q);
+  FrozenQuery second = Freeze(q);
+  EXPECT_TRUE(first.database == second.database);
+  EXPECT_EQ(first.answer_tuple, second.answer_tuple);
+  EXPECT_EQ(first.answer_tuple[0], Term::Constant("@f_X"));
 }
 
 TEST(CQTest, FreezeKeepsConstants) {

@@ -106,6 +106,23 @@ TEST(ParserTest, RejectsUnterminatedQuote) {
   ASSERT_FALSE(program.ok());
 }
 
+TEST(ParserTest, RejectsEngineReservedConstants) {
+  // '@' names engine-made constants (frozen variables are "@f_X"): a
+  // program that could write one could alias a frozen query.
+  for (const char* text : {"R(@c).", "R('@f0_X').", "R('@f_X')."}) {
+    auto program = ParseProgram(text);
+    ASSERT_FALSE(program.ok()) << text;
+    EXPECT_NE(program.status().message().find("'@"), std::string::npos)
+        << program.status().ToString();
+  }
+  auto query = ParseQuery("Q() :- R('@f0_X')");
+  EXPECT_FALSE(query.ok());
+  // Predicate and variable names may still carry '@'.
+  auto atom = ParseAtom("P@b(X@1, c)");
+  ASSERT_TRUE(atom.ok()) << atom.status().ToString();
+  EXPECT_TRUE(atom->args[0].IsVariable());
+}
+
 TEST(ParserTest, CommentsAndWhitespace) {
   auto program = ParseProgram(
       "% leading comment\n  R(a,b). % trailing comment\n%final");

@@ -230,11 +230,23 @@ TEST(SnapshotTest, RestoredNullsNeverCollideWithFreshOnes) {
   ByteReader in(bytes);
   auto restored = Instance::Restore(in);
   ASSERT_TRUE(restored.ok());
-  // A null created after Restore must be distinct from every restored
-  // null: adding an atom over it must grow the instance, not dedup.
-  size_t before = restored->size();
-  restored->Add(Atom::Make("R", {Term::Constant("a"), Term::FreshNull()}));
-  EXPECT_EQ(restored->size(), before + 1);
+  // A chase that runs from the restored instance must mint nulls distinct
+  // from every restored one: S(n, m) with m == n would be an alias.
+  TgdSet more = ParseTgds("R(X,Y) -> S(Y,Z).").value();
+  auto rechased = Chase(*restored, more);
+  ASSERT_TRUE(rechased.ok());
+  EXPECT_EQ(rechased->instance.size(), restored->size() + 1);
+  std::vector<Term> restored_nulls;
+  for (const Term& t : restored->ActiveDomain()) {
+    if (t.IsNull()) restored_nulls.push_back(t);
+  }
+  ASSERT_EQ(restored_nulls.size(), 1u);
+  for (AtomId id : rechased->instance.IdsWith(Predicate::Get("S", 2))) {
+    AtomView s = rechased->instance.view(id);
+    EXPECT_EQ(s.arg(0), restored_nulls[0]);
+    EXPECT_TRUE(s.arg(1).IsNull());
+    EXPECT_NE(s.arg(1), restored_nulls[0]);
+  }
 }
 
 TEST(SnapshotTest, RestoreIsTotalOnGarbage) {
