@@ -497,7 +497,8 @@ int main(int argc, char** argv) {
     w.Field("num_ontologies", ontologies);
     w.Field("num_tenants", tenants);
     w.Field("seed", seed);
-    w.Field("caches", "");
+    w.Field("num_cpus", static_cast<int>(std::thread::hardware_concurrency()));
+    w.Field("build_type", OMQC_BUILD_TYPE);
     w.EndObject();
     w.BeginArray("benchmarks");
     AppendBenchEntry(w, label + "/cold/p50",

@@ -5,8 +5,8 @@
 //   * a cooperative cancellation token, and
 //   * a byte-accounted memory budget —
 // and is threaded by pointer through every layer's options struct
-// (ChaseOptions, XRewriteOptions, HomomorphismOptions, DownwardOptions,
-// EvalOptions, ContainmentOptions). A null governor pointer means
+// (ChaseOptions, XRewriteOptions, HomomorphismOptions, EvalOptions,
+// ContainmentOptions). A null governor pointer means
 // "unbounded" everywhere and costs nothing.
 //
 // Check-site contract (see DESIGN.md "Governor check-site placement"):

@@ -1,5 +1,5 @@
-// Hash combinators for composite keys used in hom-search indexes,
-// rewriting dedup tables and automaton type caches.
+// Hash combinators for composite keys used in hom-search indexes and
+// rewriting dedup tables.
 
 #ifndef OMQC_BASE_HASH_UTIL_H_
 #define OMQC_BASE_HASH_UTIL_H_

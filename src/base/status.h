@@ -19,8 +19,8 @@ enum class StatusCode {
   kOk = 0,
   /// Malformed input (parse error, ill-formed tgd, arity mismatch...).
   kInvalidArgument,
-  /// A resource budget (chase depth, rewriting size, automaton states,
-  /// witness search, governor memory budget) was exhausted before an exact
+  /// A resource budget (chase depth, rewriting size, witness search,
+  /// governor memory budget) was exhausted before an exact
   /// answer was reached.
   kResourceExhausted,
   /// The request's wall-clock deadline passed before completion

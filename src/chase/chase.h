@@ -134,7 +134,7 @@ Result<ChaseResult> Chase(const Instance& database, const TgdSet& tgds,
 /// Convenience: certain answers cert(q, D, Σ) = q(chase(D, Σ)) via a
 /// complete chase. Returns ResourceExhausted if the budget was hit before
 /// the fixpoint — callers for non-terminating classes should prefer the
-/// rewriting- or automata-based evaluation in src/core.
+/// rewriting-based evaluation in src/core.
 Result<std::vector<std::vector<Term>>> CertainAnswersViaChase(
     const ConjunctiveQuery& q, const Instance& database, const TgdSet& tgds,
     const ChaseOptions& options = ChaseOptions());

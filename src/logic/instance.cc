@@ -4,6 +4,7 @@
 #include <cassert>
 #include <functional>
 #include <map>
+#include <set>
 
 #include "base/string_util.h"
 #include "logic/postings_kernels.h"
@@ -235,22 +236,6 @@ bool Instance::IsDatabase() const {
     if (!t.IsConstant()) return false;
   }
   return true;
-}
-
-Instance Instance::InducedBy(const std::set<Term>& terms) const {
-  Instance out;
-  for (AtomId id = 0; id < records_.size(); ++id) {
-    AtomView a = view(id);
-    bool inside = true;
-    for (const Term& t : a) {
-      if (terms.count(t) == 0) {
-        inside = false;
-        break;
-      }
-    }
-    if (inside) out.AddView(a);
-  }
-  return out;
 }
 
 std::vector<Instance> Instance::ConnectedComponents() const {

@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -203,10 +202,6 @@ class Instance {
 
   /// True iff every atom is a fact (no nulls, no variables).
   bool IsDatabase() const;
-
-  /// The subinstance induced by the given set of terms: all atoms whose
-  /// arguments are all contained in `terms`.
-  Instance InducedBy(const std::set<Term>& terms) const;
 
   /// Maximal connected components w.r.t. shared terms (Sec. 7.1).
   /// 0-ary atoms are excluded, matching the paper's footnote 5.

@@ -174,9 +174,15 @@ class XRewriteRun {
     }
     if (options_.prune_subsumed && from_rewriting) {
       for (const Entry& e : entries_) {
-        if (e.from_rewriting &&
-            e.query.answer_vars.size() == q.answer_vars.size() &&
-            CQContainedIn(q, e.query)) {
+        if (!e.from_rewriting ||
+            e.query.answer_vars.size() != q.answer_vars.size()) {
+          continue;
+        }
+        // One probe per subsumption search: the scan may run up to
+        // max_queries of them, so waiting for the next step would let a
+        // trip go unseen for just as long.
+        if (!GovernorAllows()) return;
+        if (CQContainedIn(q, e.query)) {
           if (stats_ != nullptr) ++stats_->subsumption_prunes;
           return;  // subsumed: contributes nothing to the UCQ
         }
@@ -186,13 +192,9 @@ class XRewriteRun {
       budget_exhausted_ = true;
       return;
     }
-    if (options_.governor != nullptr) {
-      Status st = options_.governor->ChargeBytes(ApproxQueryBytes(q));
-      if (!st.ok()) {
-        budget_exhausted_ = true;
-        if (trip_.ok()) trip_ = std::move(st);
-        return;
-      }
+    if (options_.governor != nullptr &&
+        !Latch(options_.governor->ChargeBytes(ApproxQueryBytes(q)))) {
+      return;
     }
     buckets_[signature].push_back(entries_.size());
     entries_.push_back(Entry{std::move(q), from_rewriting, false});
@@ -208,15 +210,21 @@ class XRewriteRun {
       budget_exhausted_ = true;
       return false;
     }
-    if (options_.governor != nullptr) {
-      Status st = options_.governor->Check();
-      if (!st.ok()) {
-        budget_exhausted_ = true;
-        if (trip_.ok()) trip_ = std::move(st);
-        return false;
-      }
-    }
-    return true;
+    return GovernorAllows();
+  }
+
+  /// Probes the request governor (if any); false on a trip.
+  bool GovernorAllows() {
+    return options_.governor == nullptr || Latch(options_.governor->Check());
+  }
+
+  /// True iff `st` is OK; otherwise marks the run budget-exhausted and
+  /// keeps the first governor trip for trip().
+  bool Latch(Status st) {
+    if (st.ok()) return true;
+    budget_exhausted_ = true;
+    if (trip_.ok()) trip_ = std::move(st);
+    return false;
   }
 
   Status Explore(const ConjunctiveQuery& q) {

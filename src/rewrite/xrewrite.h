@@ -58,7 +58,8 @@ struct XRewriteOptions {
   /// infinite. Off by default to keep XRewrite faithful to Algorithm 1.
   bool prune_subsumed = false;
   /// Optional shared request governor (base/governor.h), checked once per
-  /// rewriting/factorization step; admitted queries are charged against
+  /// rewriting/factorization step and once per subsumption search of the
+  /// prune_subsumed scan; admitted queries are charged against
   /// its memory budget. A trip is handled exactly like a local budget:
   /// EnumerateRewritings reports kBudgetExhausted (already-reported
   /// disjuncts stay sound), XRewrite returns the trip status. NOT part of

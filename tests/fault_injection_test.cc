@@ -1,5 +1,5 @@
 // The chaos suite: every public entry point (Chase, XRewrite, Eval,
-// CheckUcqOmqContainment, downward 2WAPA emptiness) is driven under
+// CheckUcqOmqContainment) is driven under
 // deterministic injected faults — deadline trips, cancellations, memory
 // exhaustion and dropped cache inserts — plus a live cancellation from
 // another thread. The invariants:
@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -23,7 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "automata/downward.h"
 #include "base/fault_injection.h"
 #include "base/governor.h"
 #include "cache/omq_cache.h"
@@ -193,6 +193,71 @@ TEST(FaultInjectionTest, XRewriteMemoryFaultSurfacesAsResourceExhausted) {
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
 
+// Subsumption pruning on a guarded recursive ontology: every candidate is
+// compared with every earlier disjunct, so most governor checks fall inside
+// a pruning scan. A trip there must end the run at once: the scanned
+// candidate is left unresolved (its step is counted, but it is neither
+// deduplicated, pruned nor admitted), and what was reported so far is a
+// prefix of the unfaulted enumeration.
+TEST(FaultInjectionTest, XRewriteTripInsidePruningScanEndsTheRun) {
+  Schema schema = S({{"R", 2}, {"P", 1}});
+  TgdSet tgds = ParseTgds("R(X,Y), P(Y) -> P(X).").value();
+  ConjunctiveQuery q = ParseQuery("Q() :- P(c)").value();
+  XRewriteOptions options;
+  options.prune_subsumed = true;
+  options.max_queries = 12;
+  auto enumerate = [&](ResourceGovernor* governor, XRewriteStats* stats,
+                       std::vector<std::string>* reported) {
+    XRewriteOptions governed = options;
+    governed.governor = governor;
+    return EnumerateRewritings(
+        schema, tgds, q, governed,
+        [reported](const ConjunctiveQuery& disjunct) {
+          reported->push_back(disjunct.ToString());
+          return true;
+        },
+        stats);
+  };
+  ResourceGovernor clean_governor;
+  std::vector<std::string> clean;
+  ASSERT_TRUE(enumerate(&clean_governor, nullptr, &clean).ok());
+  const uint64_t clean_checks = clean_governor.counters().checks;
+  ASSERT_GT(clean.size(), 3u);
+
+  uint64_t ended_inside_scan = 0;
+  for (uint64_t at = 1; at <= clean_checks; ++at) {
+    FaultPlan plan;
+    plan.cancel_at_check = at;
+    FaultInjector injector(plan);
+    ResourceGovernor governor;
+    governor.set_fault_injector(&injector);
+    XRewriteStats stats;
+    std::vector<std::string> reported;
+    auto outcome = enumerate(&governor, &stats, &reported);
+    const std::string context = "cancel at check " + std::to_string(at);
+    ASSERT_TRUE(outcome.ok()) << context;
+    EXPECT_EQ(*outcome, RewriteEnumeration::kBudgetExhausted) << context;
+    EXPECT_TRUE(injector.fired()) << context;
+    EXPECT_EQ(governor.TripStatus().code(), StatusCode::kCancelled)
+        << context;
+    EXPECT_EQ(governor.counters().checks, at)
+        << context << ": the run went on probing after the trip";
+    ASSERT_LE(reported.size(), clean.size()) << context;
+    EXPECT_TRUE(std::equal(reported.begin(), reported.end(), clean.begin()))
+        << context << ": reported disjuncts diverge from the clean run";
+    // The start query is admitted without a step; every other admission,
+    // dedup hit and prune resolves exactly one step.
+    const size_t steps = stats.rewriting_steps + stats.factorization_steps;
+    const size_t resolved = stats.dedup_hits + stats.subsumption_prunes +
+                            stats.queries_generated - 1;
+    ASSERT_LE(steps - resolved, 1u) << context;
+    ended_inside_scan += steps - resolved;
+  }
+  // Every scan after the first few disjuncts runs more searches than the
+  // step that produced its candidate, so most trips land inside one.
+  EXPECT_GT(ended_inside_scan * 2, clean_checks);
+}
+
 // ---------------------------------------------------------------------------
 // Eval under injected trips: OK with the exact answers, or a governor
 // code — never OK with a wrong answer set.
@@ -321,6 +386,47 @@ TEST(ContainmentChaosTest, GovernorFaultsNeverFlipTheVerdict) {
   }
 }
 
+TEST(ContainmentChaosTest, TripsInsidePruningScansNeverFlipTheVerdict) {
+  // Guarded and recursive on the left: the rewriting of P(c) is the
+  // infinite chain R(c,y1),...,R(yn-1,yn),P(yn), and the engine's default
+  // subsumption pruning scans every earlier disjunct per candidate. The
+  // right-hand side covers chains of length up to 2, so the length-3
+  // chain refutes. Sweeps a cancellation over every check of the clean
+  // run; two in three of them fall inside a pruning scan.
+  Schema schema = S({{"R", 2}, {"P", 1}});
+  TgdSet sigma = ParseTgds("R(X,Y), P(Y) -> P(X).").value();
+  ContainmentWorkload workload{
+      "guarded_refuted",
+      UcqOmq{schema, sigma, UnionOfCQs{{ParseQuery("Q() :- P(c)").value()}}},
+      UcqOmq{schema, TgdSet{},
+             UnionOfCQs{{ParseQuery("Q() :- P(c)").value(),
+                         ParseQuery("Q() :- R(c,Y), P(Y)").value(),
+                         ParseQuery("Q() :- R(c,Y), R(Y,Z), P(Z)").value()}}},
+      ContainmentOutcome::kNotContained};
+  uint64_t clean_checks = 0;
+  {
+    ResourceGovernor governor;
+    ContainmentOptions options;
+    options.governor = &governor;
+    auto clean = CheckUcqOmqContainment(workload.q1, workload.q2, options);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    ASSERT_EQ(clean->outcome, workload.expected);
+    clean_checks = governor.counters().checks;
+  }
+  for (uint64_t at = 1; at <= clean_checks; ++at) {
+    FaultPlan plan;
+    plan.cancel_at_check = at;
+    FaultInjector injector(plan);
+    ResourceGovernor governor;
+    governor.set_fault_injector(&injector);
+    ContainmentOptions options;
+    options.governor = &governor;
+    auto result = CheckUcqOmqContainment(workload.q1, workload.q2, options);
+    ExpectSoundUnderFault(workload, result, injector,
+                          "cancel at check " + std::to_string(at));
+  }
+}
+
 TEST(ContainmentChaosTest, MemoryFaultsNeverFlipTheVerdict) {
   for (const ContainmentWorkload& workload : Workloads()) {
     for (uint64_t at : {uint64_t{1}, uint64_t{2}, uint64_t{5}}) {
@@ -381,88 +487,6 @@ TEST(ContainmentChaosTest, RealCancellationFromAnotherThread) {
     FaultInjector unused{FaultPlan{}};
     ExpectSoundUnderFault(workload, result, unused,
                           std::string("live-cancel ") + workload.name);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Downward emptiness chaos: DownwardIsEmpty's governor probe sites (per
-// worklist item and per label of the subset construction). Invariant: a
-// governor code or the true verdict — a fault must never flip emptiness.
-// ---------------------------------------------------------------------------
-
-struct EmptinessWorkload {
-  const char* name;
-  Twapa automaton;
-  bool expected_empty;
-};
-
-std::vector<EmptinessWorkload> EmptinessWorkloads() {
-  // A long diamond chain (states 0 -> 1 -> ... -> n-1, the last accepts):
-  // non-empty, and every link interns a fresh obligation set so the
-  // per-item probe fires many times.
-  Twapa chain;
-  const int n = 60;
-  chain.num_states = n;
-  chain.num_labels = 1;
-  chain.initial_state = 0;
-  chain.mode = AcceptanceMode::kFiniteRuns;
-  chain.delta = [](int state, int) {
-    return state == 60 - 1 ? Formula::True()
-                           : Diamond(Move::kChild, state + 1);
-  };
-  // "some node has label 1" ∧ "every node has label 0": empty, and the
-  // construction must explore every reachable set to prove it.
-  Twapa reach1;
-  reach1.num_states = 1;
-  reach1.num_labels = 2;
-  reach1.initial_state = 0;
-  reach1.mode = AcceptanceMode::kFiniteRuns;
-  reach1.delta = [](int, int label) {
-    return label == 1 ? Formula::True() : Diamond(Move::kChild, 0);
-  };
-  Twapa all0 = reach1;
-  all0.delta = [](int, int label) {
-    return label == 0 ? Box(Move::kChild, 0) : Formula::False();
-  };
-  return {{"chain_nonempty", chain, false},
-          {"contradiction_empty", Intersect(reach1, all0).value(), true}};
-}
-
-TEST(EmptinessChaosTest, GovernorFaultsNeverFlipTheVerdict) {
-  for (const EmptinessWorkload& workload : EmptinessWorkloads()) {
-    {
-      auto clean = DownwardIsEmpty(workload.automaton);
-      ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-      ASSERT_EQ(*clean, workload.expected_empty) << workload.name;
-    }
-    for (StatusCode injected :
-         {StatusCode::kDeadlineExceeded, StatusCode::kCancelled}) {
-      for (uint64_t at : kCheckPoints) {
-        FaultPlan plan;
-        plan.seed = at;
-        (injected == StatusCode::kDeadlineExceeded ? plan.deadline_at_check
-                                                   : plan.cancel_at_check) =
-            at;
-        FaultInjector injector(plan);
-        ResourceGovernor governor;
-        governor.set_fault_injector(&injector);
-        DownwardOptions options;
-        options.governor = &governor;
-        auto result = DownwardIsEmpty(workload.automaton, options);
-        const std::string context =
-            std::string(workload.name) + " code=" +
-            StatusCodeToString(injected) + " at=" + std::to_string(at);
-        if (result.ok()) {
-          EXPECT_EQ(*result, workload.expected_empty)
-              << context << ": a fault flipped the verdict";
-        } else {
-          EXPECT_TRUE(injector.fired()) << context;
-          EXPECT_EQ(result.status().code(), injected)
-              << context << ": " << result.status().ToString();
-          EXPECT_FALSE(result.status().message().empty()) << context;
-        }
-      }
-    }
   }
 }
 

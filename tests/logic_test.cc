@@ -114,13 +114,6 @@ TEST(InstanceTest, ToStringIgnoresInterningOrder) {
             "ToStringOrderB(to_string_y,to_string_x).");
 }
 
-TEST(InstanceTest, InducedSubinstance) {
-  Database db = ParseDatabase("R(a,b). R(b,c). P(a).").value();
-  Instance induced =
-      db.InducedBy({Term::Constant("a"), Term::Constant("b")});
-  EXPECT_EQ(induced.size(), 2u);  // R(a,b) and P(a)
-}
-
 TEST(InstanceTest, ConnectedComponents) {
   Database db =
       ParseDatabase("R(a,b). R(b,c). R(x,y). P(z). Zero().").value();
