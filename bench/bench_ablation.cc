@@ -2,13 +2,16 @@
 //
 //   * subsumption pruning (König–Leclère–Mugnier prunability) on the
 //     containment enumeration: turns divergence into saturation on
-//     guarded ontologies, and its overhead on already-terminating cases;
+//     guarded ontologies, its overhead on already-terminating cases, and
+//     its cost on a guarded soak scenario neither setting can certify;
 //   * per-CQ minimization (query elimination, [40]): required for sticky
 //     termination; overhead on linear workloads.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "core/frontend.h"
+#include "soak/scenario.h"
 
 namespace omqc {
 namespace {
@@ -93,6 +96,52 @@ void BM_PruningOnGuardedSaturates(benchmark::State& state) {
   state.counters["candidates"] = static_cast<double>(candidates);
 }
 BENCHMARK(BM_PruningOnGuardedSaturates);
+
+/// Guarded soak scenario 8 of seed 11 at the soak's budgets (120 queries,
+/// 20000 steps; soak/differential.cc), uncached: a contained walk-tile
+/// request that neither setting certifies within the budget, so the whole
+/// admission scan is paid. `expected_candidates` pins the run's shape.
+void RunGuardedSoakScenario(benchmark::State& state, bool prune,
+                            size_t expected_candidates) {
+  Scenario scenario = MakeScenario(SpecForIndex(11, 8));
+  Schema schema = InferProgramDataSchema(scenario.program);
+  Omq q1 = SingleQueryNamed(scenario.program, schema, kLhsQuery).value();
+  Omq q2 = SingleQueryNamed(scenario.program, schema, kRhsQuery).value();
+  ContainmentOptions options;
+  options.rewrite.max_queries = 120;
+  options.rewrite.max_steps = 20000;
+  options.rewrite.prune_subsumed = prune;
+  EngineStats stats;
+  size_t candidates = 0;
+  for (auto _ : state) {
+    auto result = CheckContainment(q1, q2, options);
+    if (!result.ok()) {
+      state.SkipWithError("containment failed");
+      return;
+    }
+    benchmark::DoNotOptimize(result->outcome);
+    candidates = result->candidates_checked;
+    if (result->outcome != ContainmentOutcome::kUnknown ||
+        candidates != expected_candidates) {
+      state.counters["candidates"] = static_cast<double>(candidates);
+      state.SkipWithError("expected UNKNOWN after the pinned candidate count");
+      return;
+    }
+    stats = result->stats;
+  }
+  state.counters["candidates"] = static_cast<double>(candidates);
+  bench::ReportEngineStats(state, stats);
+}
+
+void BM_PruningOnGuardedSoakScenario(benchmark::State& state) {
+  RunGuardedSoakScenario(state, /*prune=*/true, /*expected_candidates=*/54);
+}
+BENCHMARK(BM_PruningOnGuardedSoakScenario)->Unit(benchmark::kMillisecond);
+
+void BM_PruningOffGuardedSoakScenario(benchmark::State& state) {
+  RunGuardedSoakScenario(state, /*prune=*/false, /*expected_candidates=*/53);
+}
+BENCHMARK(BM_PruningOffGuardedSoakScenario)->Unit(benchmark::kMillisecond);
 
 /// Query elimination OFF vs ON where both terminate (linear workload).
 void BM_MinimizationOffLinearRewrite(benchmark::State& state) {

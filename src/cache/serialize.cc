@@ -16,6 +16,7 @@ void SerializeXRewriteStats(const XRewriteStats& s, ByteWriter& out) {
   out.U64(s.max_disjunct_atoms);
   out.U64(s.dedup_hits);
   out.U64(s.subsumption_prunes);
+  out.U64(s.subsumption_checks);
 }
 
 XRewriteStats DeserializeXRewriteStats(ByteReader& in) {
@@ -26,6 +27,7 @@ XRewriteStats DeserializeXRewriteStats(ByteReader& in) {
   s.max_disjunct_atoms = in.U64();
   s.dedup_hits = in.U64();
   s.subsumption_prunes = in.U64();
+  s.subsumption_checks = in.U64();
   return s;
 }
 

@@ -97,10 +97,12 @@ struct ContainmentOptions {
 
   ContainmentOptions() {
     rewrite.prune_subsumed = true;
-    // Subsumption pruning scans earlier disjuncts per candidate, so keep
-    // the default enumeration budget interactive; raise it for hard
-    // instances (the engine returns kUnknown, never a wrong answer, when
-    // the budget is hit).
+    // Subsumption pruning still scans the earlier disjuncts per candidate
+    // (one freeze of the candidate, then a homomorphism search into it
+    // from each earlier disjunct whose predicates it all has), so the
+    // scan grows with the enumeration: keep the default budget
+    // interactive and raise it for hard instances (the engine returns
+    // kUnknown, never a wrong answer, when the budget is hit).
     rewrite.max_queries = 5000;
   }
 };

@@ -32,7 +32,8 @@ std::string EngineStats::ToString() const {
       " rewriting_steps=", rewrite.rewriting_steps,
       " factorization_steps=", rewrite.factorization_steps,
       " dedup_hits=", rewrite.dedup_hits,
-      " subsumption_prunes=", rewrite.subsumption_prunes, "\n",
+      " subsumption_prunes=", rewrite.subsumption_prunes,
+      " subsumption_checks=", rewrite.subsumption_checks, "\n",
       "  hom search:  searches=", hom.searches, " steps=", hom.steps,
       " candidates_scanned=", hom.candidates_scanned,
       " budget_exhaustions=", hom.budget_exhaustions,

@@ -150,11 +150,16 @@ std::string ConjunctiveQuery::ToString() const {
                            [](const Atom& a) { return a.ToString(); }));
 }
 
-FrozenQuery Freeze(const ConjunctiveQuery& q) {
+Substitution FreezingOf(const ConjunctiveQuery& q) {
   Substitution freezing;
   for (const Term& v : q.Variables()) {
     freezing.Bind(v, Term::Constant(StrCat("@f_", v.ToString())));
   }
+  return freezing;
+}
+
+FrozenQuery Freeze(const ConjunctiveQuery& q) {
+  Substitution freezing = FreezingOf(q);
   FrozenQuery out;
   for (const Atom& a : q.body) out.database.Add(freezing.Apply(a));
   out.answer_tuple = freezing.Apply(q.answer_vars);

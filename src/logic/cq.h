@@ -84,6 +84,12 @@ struct FrozenQuery {
 /// parser reserves '@'), so a repeated freeze interns nothing new.
 FrozenQuery Freeze(const ConjunctiveQuery& q);
 
+/// The substitution Freeze applies to `q` (X ↦ "@f_X" for every variable
+/// of q). Applying it atom by atom yields Freeze(q).database's atoms in
+/// body order, so a caller can build the frozen database of q minus one
+/// atom without freezing again.
+Substitution FreezingOf(const ConjunctiveQuery& q);
+
 /// A union of conjunctive queries q1(x̄) ∨ ... ∨ qn(x̄).
 struct UnionOfCQs {
   std::vector<ConjunctiveQuery> disjuncts;

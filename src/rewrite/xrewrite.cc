@@ -1,8 +1,10 @@
 #include "rewrite/xrewrite.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -55,8 +57,76 @@ std::vector<Atom> DedupAtoms(const std::vector<Atom>& atoms) {
   return out;
 }
 
+/// Freeze(q) before indexing: `atoms[i]` is the frozen image of q.body[i].
+struct FrozenBody {
+  std::vector<Atom> atoms;
+  std::vector<Term> answer_tuple;
+};
+
+FrozenBody FreezeBody(const ConjunctiveQuery& q) {
+  Substitution freezing = FreezingOf(q);
+  return FrozenBody{freezing.Apply(q.body), freezing.Apply(q.answer_vars)};
+}
+
+/// Freeze(q).database, or — with `skip` a body index — the frozen database
+/// of q without atom `skip` (which equals Freeze of that smaller query:
+/// freezing names each variable after itself).
+Database FrozenDatabase(const FrozenBody& frozen,
+                        size_t skip = std::numeric_limits<size_t>::max()) {
+  Database database;
+  for (size_t i = 0; i < frozen.atoms.size(); ++i) {
+    if (i != skip) database.Add(frozen.atoms[i]);
+  }
+  return database;
+}
+
+/// The predicate signature of a CQ: bit (id mod 64) set for every body
+/// predicate. A homomorphism p → Freeze(q) maps each atom to an atom with
+/// the same predicate, so p can subsume q only if
+/// (PredicateMask(p) & ~PredicateMask(q)) == 0.
+uint64_t PredicateMask(const ConjunctiveQuery& q) {
+  uint64_t mask = 0;
+  for (const Atom& a : q.body) {
+    mask |= uint64_t{1} << (static_cast<uint32_t>(a.predicate.id()) % 64);
+  }
+  return mask;
+}
+
+/// MinimizeCQ, freezing `current` once per round: each candidate (current
+/// minus atom i) is tested as Freeze(candidate) = the round's frozen atoms
+/// minus atom i. When `last_round` is non-null it receives the frozen body
+/// of the returned query if a round froze it (every query of > 1 atom).
+ConjunctiveQuery MinimizeAndFreeze(const ConjunctiveQuery& q,
+                                   std::optional<FrozenBody>* last_round) {
+  ConjunctiveQuery current = q;
+  bool changed = true;
+  while (changed && current.body.size() > 1) {
+    changed = false;
+    FrozenBody frozen = FreezeBody(current);
+    for (size_t i = 0; i < current.body.size(); ++i) {
+      ConjunctiveQuery candidate = current;
+      candidate.body.erase(candidate.body.begin() +
+                           static_cast<std::ptrdiff_t>(i));
+      // Answer variables must stay bound in the body.
+      if (!ValidateCQ(candidate).ok()) continue;
+      // candidate has fewer constraints, so current ⊆ candidate always;
+      // the atom is redundant iff also candidate ⊆ current.
+      if (TupleInAnswer(current, FrozenDatabase(frozen, i),
+                        frozen.answer_tuple)) {
+        current = std::move(candidate);
+        changed = true;
+        break;
+      }
+    }
+    if (!changed && last_round != nullptr) *last_round = std::move(frozen);
+  }
+  return current;
+}
+
 struct Entry {
   ConjunctiveQuery query;
+  /// PredicateMask(query), the subsumption scan's prefilter.
+  uint64_t predicates;
   bool from_rewriting;
   bool reported = false;
 };
@@ -149,7 +219,10 @@ class XRewriteRun {
   /// `entries_` can never grow past the cap within an exploration burst.
   void AddQuery(ConjunctiveQuery q, bool from_rewriting) {
     if (budget_exhausted_) return;
-    if (options_.minimize_disjuncts) q = MinimizeCQ(q);
+    // Freeze(q), made at most once per admission: by minimization's last
+    // round, or by the subsumption scan's first search.
+    std::optional<FrozenBody> frozen;
+    if (options_.minimize_disjuncts) q = MinimizeAndFreeze(q, &frozen);
     // Canonical fingerprints are isomorphism-invariant, so every
     // ≃-duplicate of q lands in its bucket; IsomorphicCQs then confirms
     // (fingerprint collisions between non-isomorphic queries are possible
@@ -172,17 +245,28 @@ class XRewriteRun {
         }
       }
     }
+    const uint64_t predicates = PredicateMask(q);
     if (options_.prune_subsumed && from_rewriting) {
+      // e subsumes q iff q's frozen answer tuple is an answer of e over
+      // q's frozen database (Chandra–Merlin), so q is frozen once for the
+      // whole scan.
+      std::optional<Database> frozen_database;
       for (const Entry& e : entries_) {
         if (!e.from_rewriting ||
-            e.query.answer_vars.size() != q.answer_vars.size()) {
+            e.query.answer_vars.size() != q.answer_vars.size() ||
+            (e.predicates & ~predicates) != 0) {
           continue;
         }
-        // One probe per subsumption search: the scan may run up to
-        // max_queries of them, so waiting for the next step would let a
-        // trip go unseen for just as long.
+        // One probe per subsumption search that runs: the scan may run up
+        // to max_queries of them, so waiting for the next step would let
+        // a trip go unseen for just as long.
         if (!GovernorAllows()) return;
-        if (CQContainedIn(q, e.query)) {
+        if (!frozen_database.has_value()) {
+          if (!frozen.has_value()) frozen = FreezeBody(q);
+          frozen_database = FrozenDatabase(*frozen);
+        }
+        if (stats_ != nullptr) ++stats_->subsumption_checks;
+        if (TupleInAnswer(e.query, *frozen_database, frozen->answer_tuple)) {
           if (stats_ != nullptr) ++stats_->subsumption_prunes;
           return;  // subsumed: contributes nothing to the UCQ
         }
@@ -197,7 +281,7 @@ class XRewriteRun {
       return;
     }
     buckets_[signature].push_back(entries_.size());
-    entries_.push_back(Entry{std::move(q), from_rewriting, false});
+    entries_.push_back(Entry{std::move(q), predicates, from_rewriting, false});
     MaybeReport(entries_.size() - 1);
   }
 
@@ -427,48 +511,43 @@ Result<RewriteEnumeration> EnumerateRewritings(
 }
 
 ConjunctiveQuery MinimizeCQ(const ConjunctiveQuery& q) {
-  ConjunctiveQuery current = q;
-  bool changed = true;
-  while (changed && current.body.size() > 1) {
-    changed = false;
-    for (size_t i = 0; i < current.body.size(); ++i) {
-      ConjunctiveQuery candidate = current;
-      candidate.body.erase(candidate.body.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-      // Answer variables must stay bound in the body.
-      if (!ValidateCQ(candidate).ok()) continue;
-      // candidate has fewer constraints, so current ⊆ candidate always;
-      // the atom is redundant iff also candidate ⊆ current.
-      if (CQContainedIn(candidate, current)) {
-        current = std::move(candidate);
-        changed = true;
-        break;
-      }
-    }
-  }
-  return current;
+  return MinimizeAndFreeze(q, nullptr);
 }
 
 UnionOfCQs MinimizeUCQ(const UnionOfCQs& ucq) {
-  std::vector<ConjunctiveQuery> kept;
+  // Every disjunct is frozen once, when it is first examined; a kept
+  // disjunct keeps its frozen database for the later tests of whether the
+  // newcomer subsumes it. p ⊆ k iff p's frozen answer tuple is an answer
+  // of k over p's frozen database (an arity mismatch is never an answer).
+  struct Kept {
+    ConjunctiveQuery query;
+    FrozenQuery frozen;
+  };
+  std::vector<Kept> kept;
   for (const ConjunctiveQuery& candidate : ucq.disjuncts) {
+    FrozenQuery frozen = Freeze(candidate);
     bool subsumed = false;
-    for (const ConjunctiveQuery& k : kept) {
-      if (CQContainedIn(candidate, k)) {
+    for (const Kept& k : kept) {
+      if (TupleInAnswer(k.query, frozen.database, frozen.answer_tuple)) {
         subsumed = true;
         break;
       }
     }
     if (subsumed) continue;
     // Remove kept disjuncts subsumed by the new one.
-    std::vector<ConjunctiveQuery> next;
-    for (ConjunctiveQuery& k : kept) {
-      if (!CQContainedIn(k, candidate)) next.push_back(std::move(k));
+    std::vector<Kept> next;
+    for (Kept& k : kept) {
+      if (!TupleInAnswer(candidate, k.frozen.database,
+                         k.frozen.answer_tuple)) {
+        next.push_back(std::move(k));
+      }
     }
-    next.push_back(candidate);
+    next.push_back(Kept{candidate, std::move(frozen)});
     kept = std::move(next);
   }
-  return UnionOfCQs(std::move(kept));
+  UnionOfCQs out;
+  for (Kept& k : kept) out.disjuncts.push_back(std::move(k.query));
+  return out;
 }
 
 size_t LinearRewriteBound(const ConjunctiveQuery& q) { return q.size(); }

@@ -56,10 +56,16 @@ struct XRewriteOptions {
   /// rewriting operators, König–Leclère–Mugnier); it makes the enumeration
   /// terminate on many guarded ontologies whose unpruned rewriting is
   /// infinite. Off by default to keep XRewrite faithful to Algorithm 1.
+  /// The admission scan freezes each newcomer once (reusing the freeze of
+  /// minimization's last round) and searches only the earlier rewriting
+  /// entries of the same answer arity whose predicates all occur in the
+  /// newcomer (a 64-bit predicate-signature prefilter; a collision just
+  /// falls through to the search, so no prune decision depends on it).
   bool prune_subsumed = false;
   /// Optional shared request governor (base/governor.h), checked once per
-  /// rewriting/factorization step and once per subsumption search of the
-  /// prune_subsumed scan; admitted queries are charged against
+  /// rewriting/factorization step and once before each subsumption search
+  /// the prune_subsumed scan runs (an entry the prefilter skips costs no
+  /// probe); admitted queries are charged against
   /// its memory budget. A trip is handled exactly like a local budget:
   /// EnumerateRewritings reports kBudgetExhausted (already-reported
   /// disjuncts stay sound), XRewrite returns the trip status. NOT part of
@@ -78,6 +84,9 @@ struct XRewriteStats {
   size_t dedup_hits = 0;
   /// Candidates dropped by subsumption pruning (prune_subsumed only).
   size_t subsumption_prunes = 0;
+  /// Subsumption searches the prune_subsumed scan ran (entries skipped by
+  /// the predicate-signature prefilter are not counted).
+  size_t subsumption_checks = 0;
 
   void Merge(const XRewriteStats& other) {
     rewriting_steps += other.rewriting_steps;
@@ -87,6 +96,7 @@ struct XRewriteStats {
                                   other.max_disjunct_atoms);
     dedup_hits += other.dedup_hits;
     subsumption_prunes += other.subsumption_prunes;
+    subsumption_checks += other.subsumption_checks;
   }
 };
 
