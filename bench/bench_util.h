@@ -36,6 +36,8 @@ inline void ReportEngineStats(benchmark::State& state, const EngineStats& s) {
       static_cast<double>(s.rewrite.subsumption_prunes);
   state.counters["rw_subsumption_checks"] =
       static_cast<double>(s.rewrite.subsumption_checks);
+  state.counters["rw_minimize_checks"] =
+      static_cast<double>(s.rewrite.minimize_checks);
   state.counters["hom_searches"] = static_cast<double>(s.hom.searches);
   state.counters["hom_steps"] = static_cast<double>(s.hom.steps);
   state.counters["hom_candidates"] =

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Differential soak smoke: a fixed-seed scenario corpus through every
 # engine configuration (shared cache, cache off, governed with random
-# budgets, live TCP server), four acceptance checks:
+# budgets, live TCP server), five acceptance checks:
 #
 #   1. Clean corpus: no configuration ever disagrees with another or with
 #      the construction polarity oracle.
@@ -13,6 +13,10 @@
 #   4. Planted bug: with --plant-flip the harness must catch the flipped
 #      verdict on every scenario, minimize one to <= 10 tgds, and the
 #      emitted repro must replay through `omqc_cli contain`.
+#   5. Golden verdicts: `--seed=11 --count=30` over the local configs
+#      (no server, no governor: nothing that reads a wall clock) prints
+#      exactly tests/golden/soak_seed11_count30.txt. A change that is
+#      meant to move a verdict updates that file in a visible diff.
 #
 # Repro files land in ./soak-artifacts for CI upload on failure.
 #
@@ -120,6 +124,18 @@ grep -q "Q1 ⊆ Q2:" "$workdir/replay.txt" || {
   exit 1
 }
 echo "planted flip: caught on 3/3 scenarios, repro has $tgds tgds, replays OK"
+
+# 5. Golden verdicts: stdout matches the recorded file byte for byte.
+golden="tests/golden/soak_seed11_count30.txt"
+echo "golden run (seed=11 count=30, local configs)..."
+"$BUILD_DIR/examples/omqc_soak" --seed=11 --count=30 --server=off \
+  --governed=off >"$workdir/golden.txt" 2>"$workdir/golden.err"
+if ! diff -u "$golden" "$workdir/golden.txt" >&2; then
+  echo "error: soak stdout differs from $golden" >&2
+  cp "$workdir/golden.txt" "$artifacts"/
+  exit 1
+fi
+echo "golden: OK ($(wc -l <"$golden") identical lines)"
 
 # The planted-flip repros are expected artifacts of a healthy run; only a
 # *clean-corpus* repro means a real discrepancy escaped.

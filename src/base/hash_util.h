@@ -17,6 +17,15 @@ inline void HashCombine(size_t& seed, size_t value) {
   seed ^= value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
 }
 
+/// The SplitMix64 finalizer: a bijective 64-bit mixer, strong enough that
+/// sums of mixed values serve as order-insensitive multiset hashes.
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// Hashes a range of hashable elements into one value.
 template <typename It>
 size_t HashRange(It begin, It end) {

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/hash_util.h"
 #include "base/string_util.h"
 
 namespace omqc {
@@ -46,11 +47,7 @@ uint64_t HashBytes(const std::string& s) {
 
 /// Folds `v` into `h` through a splitmix64 avalanche.
 uint64_t Mix64(uint64_t h, uint64_t v) {
-  v += 0x9e3779b97f4a7c15ULL;
-  v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  v = (v ^ (v >> 27)) * 0x94d049bb133111ebULL;
-  v ^= v >> 31;
-  return (h ^ v) * kFnvPrime + 0x2545f4914f6cdd1dULL;
+  return (h ^ omqc::Mix64(v)) * kFnvPrime + 0x2545f4914f6cdd1dULL;
 }
 
 Fingerprint HashTokens(uint64_t kind, const std::vector<uint64_t>& tokens) {

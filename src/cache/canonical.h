@@ -13,7 +13,10 @@
 // e.g. a 6-cycle from two 3-cycles; the backtracking tie-break can.
 //
 // Fingerprints hash predicate and constant *names*, never interned ids, so
-// they are stable across processes and interning orders.
+// they are stable across processes and interning orders. That stability
+// is what the cache keys need; XRewrite's in-run ≃-dedup does not, and
+// buckets its queries by the cheaper DedupBucketKey (rewrite/xrewrite.h)
+// instead, so omqc_rewrite does not link this library.
 
 #ifndef OMQC_CACHE_CANONICAL_H_
 #define OMQC_CACHE_CANONICAL_H_

@@ -17,6 +17,7 @@ void SerializeXRewriteStats(const XRewriteStats& s, ByteWriter& out) {
   out.U64(s.dedup_hits);
   out.U64(s.subsumption_prunes);
   out.U64(s.subsumption_checks);
+  out.U64(s.minimize_checks);
 }
 
 XRewriteStats DeserializeXRewriteStats(ByteReader& in) {
@@ -28,6 +29,7 @@ XRewriteStats DeserializeXRewriteStats(ByteReader& in) {
   s.dedup_hits = in.U64();
   s.subsumption_prunes = in.U64();
   s.subsumption_checks = in.U64();
+  s.minimize_checks = in.U64();
   return s;
 }
 

@@ -19,7 +19,7 @@ namespace omqc {
 /// Version of the artifact payload encodings below. Bump on any layout
 /// change; the persistent store rejects (counts, never crashes on)
 /// payloads of a foreign version.
-constexpr uint32_t kArtifactPayloadVersion = 2;
+constexpr uint32_t kArtifactPayloadVersion = 3;
 
 void SerializeFingerprint(const Fingerprint& fp, ByteWriter& out);
 Fingerprint DeserializeFingerprint(ByteReader& in);

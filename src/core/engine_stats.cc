@@ -33,7 +33,8 @@ std::string EngineStats::ToString() const {
       " factorization_steps=", rewrite.factorization_steps,
       " dedup_hits=", rewrite.dedup_hits,
       " subsumption_prunes=", rewrite.subsumption_prunes,
-      " subsumption_checks=", rewrite.subsumption_checks, "\n",
+      " subsumption_checks=", rewrite.subsumption_checks,
+      " minimize_checks=", rewrite.minimize_checks, "\n",
       "  hom search:  searches=", hom.searches, " steps=", hom.steps,
       " candidates_scanned=", hom.candidates_scanned,
       " budget_exhaustions=", hom.budget_exhaustions,

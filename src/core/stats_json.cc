@@ -57,6 +57,7 @@ void AppendEngineStatsJson(JsonWriter& w, std::string_view key,
   w.Field("dedup_hits", stats.rewrite.dedup_hits);
   w.Field("subsumption_prunes", stats.rewrite.subsumption_prunes);
   w.Field("subsumption_checks", stats.rewrite.subsumption_checks);
+  w.Field("minimize_checks", stats.rewrite.minimize_checks);
   w.EndObject();
 
   w.BeginObject("hom");

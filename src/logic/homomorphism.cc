@@ -1,6 +1,7 @@
 #include "logic/homomorphism.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "base/governor.h"
@@ -28,6 +29,9 @@ struct IntersectScratch {
   std::vector<AtomId> tmp;
 };
 
+/// No arena id: Instance reserves this value as its empty-slot marker.
+constexpr AtomId kNoAtom = std::numeric_limits<AtomId>::max();
+
 struct SearchState {
   SearchState(const Instance& target_,
               const std::function<bool(const Substitution&)>& visitor_,
@@ -43,6 +47,9 @@ struct SearchState {
   size_t candidates_scanned = 0;
   size_t postings_intersections = 0;
   size_t candidates_pruned_by_intersection = 0;
+  /// HomomorphismOptions::excluded_atom, or kNoAtom: the candidate loops
+  /// skip this id.
+  AtomId excluded = kNoAtom;
   bool visitor_stop = false;  // visitor requested stop
   bool exhausted = false;     // max_steps budget or governor trip
   /// Undo trail of freshly bound variables, shared across the recursion:
@@ -195,6 +202,7 @@ bool Search(const std::vector<Atom>& atoms, std::vector<size_t>& remaining,
       PostingsSpan span = state.target.Postings(atom.predicate);
       for (size_t j = 0; j < cands.count; ++j) {
         ++state.candidates_scanned;
+        if (span.id(j) == state.excluded) continue;
         if (TryMatch(atom, span.view(j), sub, state.trail)) {
           if (Search(atoms, remaining, sub, state)) found = true;
         }
@@ -210,6 +218,7 @@ bool Search(const std::vector<Atom>& atoms, std::vector<size_t>& remaining,
           state.target.PrefetchTerms(cands.ids[j + kScanPrefetchDistance]);
         }
         ++state.candidates_scanned;
+        if (cands.ids[j] == state.excluded) continue;
         AtomView candidate = state.target.view(cands.ids[j]);
         if (TryMatch(atom, candidate, sub, state.trail)) {
           if (Search(atoms, remaining, sub, state)) found = true;
@@ -238,6 +247,7 @@ HomSearchOutcome RunSearch(
   std::vector<size_t> remaining(atoms.size());
   for (size_t i = 0; i < atoms.size(); ++i) remaining[i] = i;
   SearchState state(target, visitor, options.max_steps, options.governor);
+  state.excluded = options.excluded_atom.value_or(kNoAtom);
   bool found = Search(atoms, remaining, sub, state);
   if (found_any != nullptr) *found_any = found;
   if (options.counters != nullptr) {

@@ -77,6 +77,13 @@ struct HomomorphismOptions {
   /// 64th backtracking step; a trip surfaces as kExhausted, exactly like
   /// hitting max_steps — it removes information, never flips a verdict.
   ResourceGovernor* governor = nullptr;
+  /// An atom of the target that no atom may map onto, or none. Searching
+  /// with it set searches the target minus that atom without building a
+  /// second instance (MinimizeCQ tests every atom of a query against one
+  /// frozen database this way). Honored by every entry point except the
+  /// ForEachHomomorphismPinned family, whose pinned candidates are the
+  /// caller's to choose.
+  std::optional<AtomId> excluded_atom;
 };
 
 /// The three possible verdicts of a budgeted search.

@@ -9,8 +9,8 @@
 #include <unordered_set>
 
 #include "base/governor.h"
+#include "base/hash_util.h"
 #include "base/string_util.h"
-#include "cache/canonical.h"
 #include "logic/homomorphism.h"
 #include "rewrite/unify.h"
 
@@ -57,27 +57,121 @@ std::vector<Atom> DedupAtoms(const std::vector<Atom>& atoms) {
   return out;
 }
 
-/// Freeze(q) before indexing: `atoms[i]` is the frozen image of q.body[i].
-struct FrozenBody {
-  std::vector<Atom> atoms;
-  std::vector<Term> answer_tuple;
+/// Freeze(q) of the query one admission works on, made on first use and
+/// shared by minimization and the subsumption scan. Freeze names each
+/// variable after itself, so when q loses atom i its frozen atom i is
+/// dropped and the rest stays valid; only the database is rebuilt, on the
+/// next search that needs it.
+class FrozenNewcomer {
+ public:
+  /// Freeze(q).database, freezing q if no earlier call did.
+  const Database& DatabaseOf(const ConjunctiveQuery& q) {
+    if (!frozen_) {
+      Substitution freezing = FreezingOf(q);
+      atoms_ = freezing.Apply(q.body);
+      answer_tuple_ = freezing.Apply(q.answer_vars);
+      frozen_ = true;
+    }
+    if (!database_.has_value()) {
+      database_.emplace();
+      ids_.clear();
+      for (const Atom& a : atoms_) {
+        ids_.push_back(database_->AddView(ViewOf(a)).id);
+      }
+    }
+    return *database_;
+  }
+
+  /// Freeze(q)'s answer tuple (after DatabaseOf(q)).
+  const std::vector<Term>& answer_tuple() const { return answer_tuple_; }
+
+  /// The database atom to leave out when searching Freeze(q minus atom
+  /// i) in DatabaseOf(q), or none when another body atom of q freezes to
+  /// the same atom (q minus a duplicate freezes to the same set).
+  std::optional<AtomId> Without(size_t i) const {
+    if (std::count(ids_.begin(), ids_.end(), ids_[i]) > 1) {
+      return std::nullopt;
+    }
+    return ids_[i];
+  }
+
+  /// q is about to lose body atom i.
+  void DropAtom(size_t i) {
+    if (frozen_) atoms_.erase(atoms_.begin() + static_cast<std::ptrdiff_t>(i));
+    database_.reset();
+  }
+
+ private:
+  bool frozen_ = false;
+  std::vector<Atom> atoms_;  // atoms_[i] = the frozen image of q.body[i]
+  std::vector<Term> answer_tuple_;
+  std::optional<Database> database_;  // of atoms_, built on demand
+  std::vector<AtomId> ids_;           // ids_[i] = database id of atoms_[i]
 };
 
-FrozenBody FreezeBody(const ConjunctiveQuery& q) {
-  Substitution freezing = FreezingOf(q);
-  return FrozenBody{freezing.Apply(q.body), freezing.Apply(q.answer_vars)};
+/// A necessary condition for a homomorphism h, the identity on constants
+/// and with h(from_answers[k]) = Freeze(to_answers[k]), to map atom `from`
+/// onto Freeze(to): the predicates agree, and
+///   * `to` holds t wherever `from` holds a non-variable term t,
+///   * `to` holds to_answers[k] wherever `from` holds from_answers[k],
+///   * `to` holds equal terms wherever `from` repeats a variable.
+/// Each check reads `to` unfrozen, which is exact because Freeze is
+/// injective on query terms (a variable X becomes "@f_X", and no query
+/// constant starts with '@').
+bool CouldMapOnto(const Atom& from, const Atom& to,
+                  const std::vector<Term>& from_answers,
+                  const std::vector<Term>& to_answers) {
+  if (from.predicate != to.predicate) return false;
+  for (size_t p = 0; p < from.args.size(); ++p) {
+    const Term& t = from.args[p];
+    if (!t.IsVariable()) {
+      if (to.args[p] != t) return false;
+      continue;
+    }
+    auto answer = std::find(from_answers.begin(), from_answers.end(), t);
+    if (answer != from_answers.end()) {
+      if (to.args[p] != to_answers[static_cast<size_t>(
+                            answer - from_answers.begin())]) {
+        return false;
+      }
+      continue;
+    }
+    for (size_t r = 0; r < p; ++r) {
+      if (from.args[r] == t) {
+        if (to.args[r] != to.args[p]) return false;
+        break;
+      }
+    }
+  }
+  return true;
 }
 
-/// Freeze(q).database, or — with `skip` a body index — the frozen database
-/// of q without atom `skip` (which equals Freeze of that smaller query:
-/// freezing names each variable after itself).
-Database FrozenDatabase(const FrozenBody& frozen,
-                        size_t skip = std::numeric_limits<size_t>::max()) {
-  Database database;
-  for (size_t i = 0; i < frozen.atoms.size(); ++i) {
-    if (i != skip) database.Add(frozen.atoms[i]);
+/// Fold filter: atom i of q is redundant only if a retraction of q fixes
+/// the answer variables and maps atom i onto another atom of q.
+bool MayFold(const ConjunctiveQuery& q, size_t i) {
+  for (size_t j = 0; j < q.body.size(); ++j) {
+    if (j != i &&
+        CouldMapOnto(q.body[i], q.body[j], q.answer_vars, q.answer_vars)) {
+      return true;
+    }
   }
-  return database;
+  return false;
+}
+
+/// Shape filter: entry e can subsume q only if each atom of e has an atom
+/// of q it could map onto with e's answer tuple sent to q's.
+bool ShapesAllow(const ConjunctiveQuery& e, const ConjunctiveQuery& q) {
+  for (const Atom& a : e.body) {
+    bool target = false;
+    for (const Atom& b : q.body) {
+      if (CouldMapOnto(a, b, e.answer_vars, q.answer_vars)) {
+        target = true;
+        break;
+      }
+    }
+    if (!target) return false;
+  }
+  return true;
 }
 
 /// The predicate signature of a CQ: bit (id mod 64) set for every body
@@ -92,18 +186,24 @@ uint64_t PredicateMask(const ConjunctiveQuery& q) {
   return mask;
 }
 
-/// MinimizeCQ, freezing `current` once per round: each candidate (current
-/// minus atom i) is tested as Freeze(candidate) = the round's frozen atoms
-/// minus atom i. When `last_round` is non-null it receives the frozen body
-/// of the returned query if a round froze it (every query of > 1 atom).
+/// MinimizeCQ, searching only where the fold filter allows a fold. Every
+/// search runs over `frozen`'s one database for the round, with the
+/// candidate atom excluded. An atom found irredundant is never tested
+/// again: if a retraction r drops atom b and g folds atom a of the
+/// smaller query, g∘r folds a in the larger one. So the first redundant
+/// atom of each round is the one the loop that tested every atom found.
+/// `checks`, when non-null, counts the searches.
 ConjunctiveQuery MinimizeAndFreeze(const ConjunctiveQuery& q,
-                                   std::optional<FrozenBody>* last_round) {
+                                   FrozenNewcomer& frozen, size_t* checks) {
   ConjunctiveQuery current = q;
+  std::vector<bool> irredundant(current.body.size(), false);
   bool changed = true;
   while (changed && current.body.size() > 1) {
     changed = false;
-    FrozenBody frozen = FreezeBody(current);
     for (size_t i = 0; i < current.body.size(); ++i) {
+      if (irredundant[i]) continue;
+      irredundant[i] = true;
+      if (!MayFold(current, i)) continue;
       ConjunctiveQuery candidate = current;
       candidate.body.erase(candidate.body.begin() +
                            static_cast<std::ptrdiff_t>(i));
@@ -111,14 +211,20 @@ ConjunctiveQuery MinimizeAndFreeze(const ConjunctiveQuery& q,
       if (!ValidateCQ(candidate).ok()) continue;
       // candidate has fewer constraints, so current ⊆ candidate always;
       // the atom is redundant iff also candidate ⊆ current.
-      if (TupleInAnswer(current, FrozenDatabase(frozen, i),
-                        frozen.answer_tuple)) {
+      const Database& database = frozen.DatabaseOf(current);
+      HomomorphismOptions options;
+      options.excluded_atom = frozen.Without(i);
+      if (checks != nullptr) ++*checks;
+      if (TupleInAnswerBudgeted(current, database, frozen.answer_tuple(),
+                                options) == HomSearchOutcome::kFound) {
         current = std::move(candidate);
+        frozen.DropAtom(i);
+        irredundant.erase(irredundant.begin() +
+                          static_cast<std::ptrdiff_t>(i));
         changed = true;
         break;
       }
     }
-    if (!changed && last_round != nullptr) *last_round = std::move(frozen);
   }
   return current;
 }
@@ -219,16 +325,19 @@ class XRewriteRun {
   /// `entries_` can never grow past the cap within an exploration burst.
   void AddQuery(ConjunctiveQuery q, bool from_rewriting) {
     if (budget_exhausted_) return;
-    // Freeze(q), made at most once per admission: by minimization's last
-    // round, or by the subsumption scan's first search.
-    std::optional<FrozenBody> frozen;
-    if (options_.minimize_disjuncts) q = MinimizeAndFreeze(q, &frozen);
-    // Canonical fingerprints are isomorphism-invariant, so every
-    // ≃-duplicate of q lands in its bucket; IsomorphicCQs then confirms
-    // (fingerprint collisions between non-isomorphic queries are possible
-    // in principle, never assumed away).
-    Fingerprint signature = FingerprintCQ(q);
-    auto it = buckets_.find(signature);
+    // Freeze(q), made at most once per admission: by minimization's first
+    // search, or by the subsumption scan's.
+    FrozenNewcomer frozen;
+    if (options_.minimize_disjuncts) {
+      q = MinimizeAndFreeze(
+          q, frozen, stats_ != nullptr ? &stats_->minimize_checks : nullptr);
+    }
+    // The key is ≃-invariant, so every ≃-duplicate of q lands in its
+    // bucket, and IsomorphicCQs decides. Entries are pairwise
+    // non-isomorphic (a match returns below), so at most one entry of
+    // the bucket matches whatever else shares its key.
+    const uint64_t key = DedupBucketKey(q);
+    auto it = buckets_.find(key);
     if (it != buckets_.end()) {
       for (size_t idx : it->second) {
         Entry& e = entries_[idx];
@@ -250,23 +359,20 @@ class XRewriteRun {
       // e subsumes q iff q's frozen answer tuple is an answer of e over
       // q's frozen database (Chandra–Merlin), so q is frozen once for the
       // whole scan.
-      std::optional<Database> frozen_database;
       for (const Entry& e : entries_) {
         if (!e.from_rewriting ||
             e.query.answer_vars.size() != q.answer_vars.size() ||
-            (e.predicates & ~predicates) != 0) {
+            (e.predicates & ~predicates) != 0 ||
+            !ShapesAllow(e.query, q)) {
           continue;
         }
         // One probe per subsumption search that runs: the scan may run up
         // to max_queries of them, so waiting for the next step would let
         // a trip go unseen for just as long.
         if (!GovernorAllows()) return;
-        if (!frozen_database.has_value()) {
-          if (!frozen.has_value()) frozen = FreezeBody(q);
-          frozen_database = FrozenDatabase(*frozen);
-        }
+        const Database& database = frozen.DatabaseOf(q);
         if (stats_ != nullptr) ++stats_->subsumption_checks;
-        if (TupleInAnswer(e.query, *frozen_database, frozen->answer_tuple)) {
+        if (TupleInAnswer(e.query, database, frozen.answer_tuple())) {
           if (stats_ != nullptr) ++stats_->subsumption_prunes;
           return;  // subsumed: contributes nothing to the UCQ
         }
@@ -280,7 +386,7 @@ class XRewriteRun {
         !Latch(options_.governor->ChargeBytes(ApproxQueryBytes(q)))) {
       return;
     }
-    buckets_[signature].push_back(entries_.size());
+    buckets_[key].push_back(entries_.size());
     entries_.push_back(Entry{std::move(q), predicates, from_rewriting, false});
     MaybeReport(entries_.size() - 1);
   }
@@ -455,8 +561,7 @@ class XRewriteRun {
   XRewriteStats* stats_;
   const std::function<bool(const ConjunctiveQuery&)>* callback_;
   std::vector<Entry> entries_;
-  std::unordered_map<Fingerprint, std::vector<size_t>, FingerprintHash>
-      buckets_;
+  std::unordered_map<uint64_t, std::vector<size_t>> buckets_;
   /// Frontier cursor: entries_[0, next_unexplored_) have been explored.
   size_t next_unexplored_ = 0;
   size_t steps_ = 0;
@@ -510,8 +615,78 @@ Result<RewriteEnumeration> EnumerateRewritings(
   return run.Run();
 }
 
+uint64_t DedupBucketKey(const ConjunctiveQuery& q) {
+  // Variables are numbered by first occurrence; slot[o] is the variable
+  // number at the o-th argument of the body (in atom order), or -1 for a
+  // non-variable term.
+  std::vector<Term> vars;
+  std::vector<int> slot;
+  for (const Atom& a : q.body) {
+    for (const Term& t : a.args) {
+      if (!t.IsVariable()) {
+        slot.push_back(-1);
+        continue;
+      }
+      auto it = std::find(vars.begin(), vars.end(), t);
+      slot.push_back(static_cast<int>(it - vars.begin()));
+      if (it == vars.end()) vars.push_back(t);
+    }
+  }
+  // Initial colour: the answer positions a variable holds (positional, as
+  // IsomorphicCQs pins the answer tuples position by position).
+  std::vector<uint64_t> colour(vars.size(), 0);
+  uint64_t key = Mix64(q.answer_vars.size() + (q.body.size() << 8));
+  for (size_t k = 0; k < q.answer_vars.size(); ++k) {
+    const Term& t = q.answer_vars[k];
+    if (t.IsVariable()) {
+      const size_t v = static_cast<size_t>(
+          std::find(vars.begin(), vars.end(), t) - vars.begin());
+      if (v < vars.size()) colour[v] = Mix64(colour[v] ^ Mix64(k + 1));
+    } else {
+      key = Mix64(key ^ Mix64((k + 1) * 0x100000000ULL +
+                              static_cast<uint32_t>(t.id())));
+    }
+  }
+  // Each round hashes every atom under the current colours, then adds to
+  // each variable's colour a commutative sum over its occurrences of
+  // (atom hash, position): independent of atom order and variable names.
+  std::vector<uint64_t> atom_hash(q.body.size());
+  auto hash_atoms = [&]() {
+    size_t o = 0;
+    for (size_t i = 0; i < q.body.size(); ++i) {
+      const Atom& a = q.body[i];
+      uint64_t h = Mix64(static_cast<uint32_t>(a.predicate.id()) + 1);
+      for (const Term& t : a.args) {
+        const int v = slot[o++];
+        h = Mix64(h ^ (v < 0 ? Mix64(static_cast<uint64_t>(t.kind()) << 32 |
+                                     static_cast<uint32_t>(t.id()))
+                             : colour[static_cast<size_t>(v)]));
+      }
+      atom_hash[i] = h;
+    }
+  };
+  for (int round = 0; round < 2; ++round) {
+    hash_atoms();
+    std::vector<uint64_t> next = colour;
+    size_t o = 0;
+    for (size_t i = 0; i < q.body.size(); ++i) {
+      for (size_t p = 0; p < q.body[i].args.size(); ++p) {
+        const int v = slot[o++];
+        if (v >= 0) next[static_cast<size_t>(v)] += Mix64(atom_hash[i] + p);
+      }
+    }
+    for (uint64_t& c : next) c = Mix64(c);
+    colour = std::move(next);
+  }
+  hash_atoms();
+  uint64_t body = 0;
+  for (uint64_t h : atom_hash) body += h;
+  return Mix64(key ^ body);
+}
+
 ConjunctiveQuery MinimizeCQ(const ConjunctiveQuery& q) {
-  return MinimizeAndFreeze(q, nullptr);
+  FrozenNewcomer frozen;
+  return MinimizeAndFreeze(q, frozen, nullptr);
 }
 
 UnionOfCQs MinimizeUCQ(const UnionOfCQs& ucq) {

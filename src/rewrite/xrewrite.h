@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 #include "base/status.h"
@@ -49,6 +50,11 @@ struct XRewriteOptions {
   /// of every query (each minimized CQ is equivalent to the original) and
   /// is *required* for termination on sticky sets, whose unminimized
   /// resolution closure can accumulate unboundedly many redundant atoms.
+  /// An atom is searched for a fold only when some other atom has its
+  /// predicate, its constants and answer variables, and its repeated-
+  /// variable pattern (an exact necessary condition); the search runs on
+  /// the query's one frozen database with that atom excluded, and an atom
+  /// once found irredundant is not tested again (see MinimizeCQ).
   bool minimize_disjuncts = true;
   /// Prune rewriting-produced queries that are subsumed (as plain CQs) by
   /// an already-generated rewriting query. Sound and completeness-
@@ -56,11 +62,14 @@ struct XRewriteOptions {
   /// rewriting operators, König–Leclère–Mugnier); it makes the enumeration
   /// terminate on many guarded ontologies whose unpruned rewriting is
   /// infinite. Off by default to keep XRewrite faithful to Algorithm 1.
-  /// The admission scan freezes each newcomer once (reusing the freeze of
-  /// minimization's last round) and searches only the earlier rewriting
-  /// entries of the same answer arity whose predicates all occur in the
+  /// The admission scan freezes each newcomer at most once (sharing the
+  /// freeze and frozen database with minimization) and searches only the
+  /// earlier rewriting entries of the same answer arity that pass two
+  /// exact necessary conditions: all their predicates occur in the
   /// newcomer (a 64-bit predicate-signature prefilter; a collision just
-  /// falls through to the search, so no prune decision depends on it).
+  /// falls through), and each of their atoms has a newcomer atom it could
+  /// map onto under the fixed answer tuple (the fold filter's checks). No
+  /// prune decision depends on either filter.
   bool prune_subsumed = false;
   /// Optional shared request governor (base/governor.h), checked once per
   /// rewriting/factorization step and once before each subsumption search
@@ -85,8 +94,11 @@ struct XRewriteStats {
   /// Candidates dropped by subsumption pruning (prune_subsumed only).
   size_t subsumption_prunes = 0;
   /// Subsumption searches the prune_subsumed scan ran (entries skipped by
-  /// the predicate-signature prefilter are not counted).
+  /// the predicate-signature or shape filter are not counted).
   size_t subsumption_checks = 0;
+  /// Fold searches minimization ran (minimize_disjuncts only; atoms the
+  /// fold filter or the irredundant memo settles are not counted).
+  size_t minimize_checks = 0;
 
   void Merge(const XRewriteStats& other) {
     rewriting_steps += other.rewriting_steps;
@@ -97,6 +109,7 @@ struct XRewriteStats {
     dedup_hits += other.dedup_hits;
     subsumption_prunes += other.subsumption_prunes;
     subsumption_checks += other.subsumption_checks;
+    minimize_checks += other.minimize_checks;
   }
 };
 
@@ -140,8 +153,19 @@ Result<RewriteEnumeration> EnumerateRewritings(
 
 /// Minimizes a single CQ by removing redundant atoms (query elimination,
 /// [40]): the result is equivalent to the input and no atom can be dropped
-/// without changing the semantics.
+/// without changing the semantics. Each round drops the first redundant
+/// atom in body order, so which of two interchangeable atoms survives
+/// depends on that order.
 ConjunctiveQuery MinimizeCQ(const ConjunctiveQuery& q);
+
+/// The bucket key of XRewrite's ≃-dedup: two rounds of colour refinement
+/// over the body (variables start coloured by their answer positions;
+/// predicates and constants enter by interned id, so the key is only
+/// meaningful within one process). Equal for queries equal up to
+/// bijective variable renaming and atom order, provided neither body
+/// repeats an atom (every query XRewrite admits is deduplicated);
+/// IsomorphicCQs decides within a bucket.
+uint64_t DedupBucketKey(const ConjunctiveQuery& q);
 
 /// Removes disjuncts subsumed by another disjunct (p is dropped when some
 /// other disjunct p' satisfies p ⊆ p' as plain CQs). Keeps the first

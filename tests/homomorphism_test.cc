@@ -53,6 +53,31 @@ TEST(HomomorphismTest, SeedConstrainsSearch) {
   EXPECT_EQ(hom->Apply(Term::Variable("Y")), Term::Constant("d"));
 }
 
+TEST(HomomorphismTest, ExcludedAtomIsNeverMatched) {
+  Database db = Db("R(a,b). R(a,c). P(b).");
+  ConjunctiveQuery q = Q("Q() :- R(a,Y)");
+  auto id_of = [&db](const char* second) {
+    return *db.FindId(Atom(Predicate::Get("R", 2),
+                           {Term::Constant("a"), Term::Constant(second)}));
+  };
+  const AtomId ab = id_of("b");
+  const AtomId ac = id_of("c");
+  HomomorphismOptions options;
+  options.excluded_atom = ab;
+  Substitution witness;
+  // A bound position (the constant a) goes through the id-list loop.
+  ASSERT_EQ(SearchHomomorphism(q.body, db, Substitution(), options, &witness),
+            HomSearchOutcome::kFound);
+  EXPECT_EQ(witness.Apply(Term::Variable("Y")), Term::Constant("c"));
+  // A fully unbound atom goes through the packed predicate sweep.
+  ConjunctiveQuery join = Q("Q() :- R(X,Y), P(Y)");
+  EXPECT_EQ(SearchHomomorphism(join.body, db, Substitution(), options),
+            HomSearchOutcome::kNotFound);
+  options.excluded_atom = ac;
+  EXPECT_EQ(SearchHomomorphism(join.body, db, Substitution(), options),
+            HomSearchOutcome::kFound);
+}
+
 TEST(HomomorphismTest, PinnedAtomDrawsFromSuppliedList) {
   Database db = Db("R(a,b). R(b,c). R(c,d). P(b). P(c). P(d).");
   ConjunctiveQuery q = Q("Q(X,Y) :- R(X,Y), P(Y)");

@@ -1,15 +1,19 @@
-// Tests for XRewrite's subsumption-pruning admission scan and for the
-// freeze-once minimizers (MinimizeCQ, MinimizeUCQ).
+// Tests for XRewrite's admission path: the subsumption-pruning scan, the
+// freeze-once minimizers (MinimizeCQ, MinimizeUCQ) and the dedup bucket
+// key.
 //
 // The scan freezes each newcomer once and skips an earlier entry without
 // a search when the entry has a predicate the newcomer lacks (a 64-bit
-// predicate-id signature). Neither shortcut may change a prune decision:
-// the enumerations of the guarded soak scenarios are pinned to the values
-// the per-entry CQContainedIn scan produced, and the minimizers are
-// compared with that scan's loops, kept here as oracles.
+// predicate-id signature) or an atom with no newcomer atom it could map
+// onto (the shape filter). MinimizeCQ searches only atoms that pass the
+// fold filter and were not found irredundant before. No shortcut may
+// change a decision: the enumerations of the guarded soak scenarios are
+// pinned to the values the per-entry CQContainedIn scan produced, and the
+// minimizers are compared with that scan's loops, kept here as oracles.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -194,8 +198,9 @@ TEST(SubsumptionScanTest, CollidingSignaturesStillSearch) {
   const std::string A = a.name(), B = b.name(), G = goal.name(),
                     C = other.name();
   // Newcomers in order: A(X); A(X),B(X) — pruned by A(X) after one search;
-  // B(X) — A's bit equals B's, so the mask passes and the search refutes;
-  // C(X) — skipped against every entry without a search.
+  // B(X) — A's bit equals B's, so the mask passes, but A(X) has no A atom
+  // to map onto, so the shape filter skips it; C(X) — skipped against
+  // every entry without a search.
   TgdSet tgds = ParseTgds(A + "(X) -> " + G + "(X). " + A + "(X), " + B +
                           "(X) -> " + G + "(X). " + B + "(X) -> " + G +
                           "(X). " + C + "(X) -> " + G + "(X).")
@@ -208,7 +213,28 @@ TEST(SubsumptionScanTest, CollidingSignaturesStillSearch) {
   EXPECT_NE(run.reported[1].find(" :- " + B + "("), std::string::npos);
   EXPECT_NE(run.reported[2].find(" :- " + C + "("), std::string::npos);
   EXPECT_EQ(run.stats.subsumption_prunes, 1u);
-  EXPECT_EQ(run.stats.subsumption_checks, 2u);
+  EXPECT_EQ(run.stats.subsumption_checks, 1u);
+}
+
+TEST(SubsumptionScanTest, ShapesThatPassStillSearch) {
+  auto [a, b] = CollidingPair("Shape");
+  ASSERT_EQ(Bit(a), Bit(b));
+  uint64_t taken = Bit(a);
+  const std::string G = FreshPredicate("ShapeGoal", 0, &taken).name();
+  const std::string A = a.name(), B = b.name();
+  // Newcomers in order: A(Z),B(Z); A(X),B(Y). The entry's A and B bits
+  // coincide, and each of its atoms has a same-predicate newcomer atom
+  // with no constant, answer variable or repeat to contradict, so both
+  // filters pass; only the search sees that Z cannot be both X and Y.
+  TgdSet tgds = ParseTgds(A + "(Z), " + B + "(Z) -> " + G + "(). " + A +
+                          "(X), " + B + "(Y) -> " + G + "().")
+                    .value();
+  ConjunctiveQuery q = ParseQuery("Q() :- " + G + "()").value();
+  Enumeration run = Enumerate(SchemaOf({a, b}), tgds, q, Pruning());
+  EXPECT_EQ(run.outcome, RewriteEnumeration::kSaturated);
+  EXPECT_EQ(run.reported.size(), 2u);
+  EXPECT_EQ(run.stats.subsumption_prunes, 0u);
+  EXPECT_EQ(run.stats.subsumption_checks, 1u);
 }
 
 TEST(SubsumptionScanTest, NullaryAtoms) {
@@ -240,7 +266,8 @@ TEST(SubsumptionScanTest, ConstantsInTheEntry) {
   {
     // A(c) prunes A(c),B(c) through its constant, but does not map into
     // Freeze(A(Z)) = {A(@f_Z)}: the later, more general A(Z) is admitted
-    // (pruning never evicts an earlier entry).
+    // (pruning never evicts an earlier entry) without a search, as no
+    // atom of A(Z) holds c.
     TgdSet tgds = ParseTgds(A + "(c) -> " + G + "(c). " + A + "(c), " + B +
                             "(c) -> " + G + "(c). " + A + "(X) -> " + G +
                             "(X).")
@@ -250,7 +277,7 @@ TEST(SubsumptionScanTest, ConstantsInTheEntry) {
     EXPECT_EQ(run.reported[0], "q() :- " + A + "(c)");
     EXPECT_EQ(run.reported[1].find("q() :- " + A + "(c)"), std::string::npos);
     EXPECT_EQ(run.stats.subsumption_prunes, 1u);
-    EXPECT_EQ(run.stats.subsumption_checks, 2u);
+    EXPECT_EQ(run.stats.subsumption_checks, 1u);
   }
   {
     // The general query first: it maps onto A(c), which is pruned.
@@ -349,11 +376,65 @@ ConjunctiveQuery RandomCQ(SplitMix64& rng) {
 
 TEST(FreezeOnceMinimizeTest, MinimizeCQMatchesTheOracle) {
   SplitMix64 rng(20231);
+  int shrunk = 0;
   for (int i = 0; i < 200; ++i) {
     ConjunctiveQuery q = RandomCQ(rng);
     ASSERT_TRUE(ValidateCQ(q).ok()) << q.ToString();
-    EXPECT_EQ(MinimizeCQ(q), OracleMinimizeCQ(q)) << q.ToString();
+    ConjunctiveQuery minimized = MinimizeCQ(q);
+    EXPECT_EQ(minimized, OracleMinimizeCQ(q)) << q.ToString();
+    if (minimized.size() < q.size()) ++shrunk;
   }
+  // The comparison means little unless atoms really are removed.
+  EXPECT_GT(shrunk, 0);
+}
+
+/// MinimizeCQ of `query` (parsed), checked against the oracle too.
+std::string Minimized(const std::string& query) {
+  ConjunctiveQuery q = ParseQuery(query).value();
+  ConjunctiveQuery got = MinimizeCQ(q);
+  EXPECT_EQ(got, OracleMinimizeCQ(q)) << query;
+  return got.ToString();
+}
+
+TEST(FreezeOnceMinimizeTest, FoldFilterCases) {
+  // A duplicate atom folds onto its twin; excluding its frozen atom would
+  // also exclude the twin's, so the search runs on the whole set.
+  ASSERT_EQ(ParseQuery("Q(X) :- R(X,Y), R(X,Y)").value().size(), 2u);
+  EXPECT_EQ(Minimized("Q(X) :- R(X,Y), R(X,Y)"), "q(X) :- R(X,Y)");
+  // R(X,X) repeats a variable, so it cannot fold onto R(Y,Z); R(Y,Z) can
+  // fold onto R(X,X).
+  EXPECT_EQ(Minimized("Q() :- R(X,X), R(Y,Z)"), "q() :- R(X,X)");
+  EXPECT_EQ(Minimized("Q() :- R(Y,Z), R(X,X)"), "q() :- R(X,X)");
+  // Constants must match exactly; a variable may fold onto a constant.
+  EXPECT_EQ(Minimized("Q() :- R(X,c), R(Y,d)"), "q() :- R(X,c), R(Y,d)");
+  EXPECT_EQ(Minimized("Q() :- R(X,c), R(c,c)"), "q() :- R(c,c)");
+  // Answer variables stay fixed, also when the tuple repeats one.
+  EXPECT_EQ(Minimized("Q(X,X) :- R(X,Y), R(X,Z)"), "q(X,X) :- R(X,Z)");
+  EXPECT_EQ(Minimized("Q(X,X) :- R(X,Y), R(Y,X)"),
+            "q(X,X) :- R(X,Y), R(Y,X)");
+  EXPECT_EQ(Minimized("Q(X,Y) :- R(X,Z), R(Y,Z)"),
+            "q(X,Y) :- R(X,Z), R(Y,Z)");
+}
+
+TEST(FreezeOnceMinimizeTest, IrredundantAtomsAreTestedOnce) {
+  // The triangle is a core: round 1 searches its three atoms and refutes
+  // each, then drops R(U,V); round 2 drops S(A) without searching the
+  // triangle again; round 3 finds nothing for the filter to pass.
+  const std::string query =
+      "Q() :- T(X,Y), T(Y,Z), T(Z,X), R(U,V), R(U,W), S(A), S(B)";
+  EXPECT_EQ(Minimized(query),
+            "q() :- T(X,Y), T(Y,Z), T(Z,X), R(U,W), S(B)");
+  // XRewrite minimizes its input query on admission, so its stats count
+  // the searches: 3 + 1 in round 1, 1 in round 2. Searching the triangle
+  // again in every round would have run 4 + 4 + 3.
+  ConjunctiveQuery q = ParseQuery(query).value();
+  XRewriteStats stats;
+  ASSERT_TRUE(XRewrite(SchemaOf({Predicate::Get("T", 2),
+                                 Predicate::Get("R", 2),
+                                 Predicate::Get("S", 1)}),
+                       TgdSet(), q, XRewriteOptions(), &stats)
+                  .ok());
+  EXPECT_EQ(stats.minimize_checks, 5u);
 }
 
 TEST(FreezeOnceMinimizeTest, MinimizeUCQMatchesTheOracle) {
@@ -372,6 +453,46 @@ TEST(FreezeOnceMinimizeTest, MinimizeUCQMatchesTheOracle) {
     UnionOfCQs want = OracleMinimizeUCQ(ucq);
     EXPECT_EQ(got.disjuncts, want.disjuncts) << ucq.ToString();
   }
+}
+
+/// `q` with its variables renamed by `index` and its atoms shuffled.
+ConjunctiveQuery RenamedAndShuffled(const ConjunctiveQuery& q, int index,
+                                    SplitMix64& rng) {
+  ConjunctiveQuery out = q.RenamedApart(index);
+  for (size_t i = out.body.size(); i > 1; --i) {
+    std::swap(out.body[i - 1], out.body[rng.Below(i)]);
+  }
+  return out;
+}
+
+TEST(DedupBucketKeyTest, InvariantUnderRenamingAndAtomOrder) {
+  SplitMix64 rng(77);
+  for (int i = 0; i < 200; ++i) {
+    ConjunctiveQuery q = RandomCQ(rng);
+    // XRewrite admits deduplicated bodies only.
+    std::vector<Atom> body;
+    for (const Atom& a : q.body) {
+      if (std::find(body.begin(), body.end(), a) == body.end()) {
+        body.push_back(a);
+      }
+    }
+    q.body = std::move(body);
+    ConjunctiveQuery p = RenamedAndShuffled(q, i, rng);
+    ASSERT_TRUE(IsomorphicCQs(q, p)) << q.ToString();
+    EXPECT_EQ(DedupBucketKey(q), DedupBucketKey(p))
+        << q.ToString() << " vs " << p.ToString();
+  }
+}
+
+TEST(DedupBucketKeyTest, SeparatesSimpleShapes) {
+  auto key = [](const std::string& query) {
+    return DedupBucketKey(ParseQuery(query).value());
+  };
+  EXPECT_NE(key("Q() :- R(X,Y)"), key("Q() :- R(X,X)"));
+  EXPECT_NE(key("Q(X) :- R(X,Y)"), key("Q(Y) :- R(X,Y)"));
+  EXPECT_NE(key("Q() :- R(X,Y), R(Y,Z)"), key("Q() :- R(X,Y), R(Z,Y)"));
+  EXPECT_NE(key("Q() :- R(X,c)"), key("Q() :- R(X,d)"));
+  EXPECT_NE(key("Q(c) :- R(X,Y)"), key("Q(d) :- R(X,Y)"));
 }
 
 TEST(FreezeOnceMinimizeTest, AnswerArityMismatchIsNeverSubsumed) {
