@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "logic/cq.h"
+#include "logic/homomorphism.h"
 #include "logic/instance.h"
 #include "logic/postings_kernels.h"
 
@@ -259,6 +261,58 @@ void BM_PostingsIntersect(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_PostingsIntersect)->Arg(1)->Arg(64);
+
+/// The admission path's search shape: membership tests "frozen answer
+/// tuple of q_j ∈ q_i(D_{q_j})" for every ordered pair of `n` random CQs
+/// of 2–6 atoms with one answer variable — the Chandra–Merlin test the
+/// subsumption scan and MinimizeCQ run per rewriting. Thousands of tiny
+/// searches, so per-search setup dominates, not candidate scanning.
+void BM_FrozenCQMembership(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const std::vector<Predicate> preds = {Predicate::Get("E", 2),
+                                        Predicate::Get("F", 2),
+                                        Predicate::Get("G", 3)};
+  uint64_t x = 0x9e3779b97f4a7c15ull;  // xorshift64
+  auto next = [&x]() {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  std::vector<ConjunctiveQuery> queries;
+  std::vector<FrozenQuery> frozen;
+  for (size_t q = 0; q < n; ++q) {
+    const size_t size = 2 + next() % 5;
+    std::vector<Atom> body;
+    for (size_t a = 0; a < size; ++a) {
+      Predicate p = preds[next() % preds.size()];
+      std::vector<Term> args;
+      for (int i = 0; i < p.arity(); ++i) {
+        // size + 1 variables over `size` atoms: most atoms join.
+        const size_t v = a == 0 && i == 0 ? 0 : next() % (size + 1);
+        args.push_back(Term::Variable("X" + std::to_string(v)));
+      }
+      body.emplace_back(p, std::move(args));
+    }
+    queries.emplace_back(std::vector<Term>{Term::Variable("X0")},
+                         std::move(body));
+    frozen.push_back(Freeze(queries.back()));
+  }
+  size_t hits = 0;
+  for (auto _ : state) {
+    hits = 0;
+    for (const ConjunctiveQuery& q : queries) {
+      for (const FrozenQuery& f : frozen) {
+        hits += TupleInAnswer(q, f.database, f.answer_tuple) ? 1 : 0;
+      }
+    }
+    benchmark::DoNotOptimize(hits);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(n * n) * state.iterations());
+  state.counters["hit_ratio"] =
+      static_cast<double>(hits) / static_cast<double>(n * n);
+}
+BENCHMARK(BM_FrozenCQMembership)->Arg(64);
 
 }  // namespace
 }  // namespace omqc

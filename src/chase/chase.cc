@@ -252,9 +252,8 @@ Result<ChaseResult> Chase(const Instance& database, const TgdSet& tgds,
         if (options.variant == ChaseVariant::kRestricted) {
           // Applicable only if no extension satisfies the head already —
           // checked against the FULL instance under both strategies.
-          if (FindHomomorphism(tgd.head, result.instance, trigger,
-                               hom_options)
-                  .has_value()) {
+          if (SearchHomomorphism(tgd.head, result.instance, trigger,
+                                 hom_options) == HomSearchOutcome::kFound) {
             processed.insert(std::move(key));
             continue;
           }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -96,7 +97,8 @@ ConjunctiveQuery ConjunctiveQuery::Substituted(const Substitution& s) const {
 ConjunctiveQuery ConjunctiveQuery::RenamedApart(int index) const {
   Substitution rename;
   for (const Term& v : Variables()) {
-    rename.Bind(v, Term::Variable(StrCat(v.ToString(), "#", index)));
+    rename.Bind(v,
+                Term::Variable(v.ToString() + "#" + std::to_string(index)));
   }
   return Substituted(rename);
 }
@@ -153,7 +155,7 @@ std::string ConjunctiveQuery::ToString() const {
 Substitution FreezingOf(const ConjunctiveQuery& q) {
   Substitution freezing;
   for (const Term& v : q.Variables()) {
-    freezing.Bind(v, Term::Constant(StrCat("@f_", v.ToString())));
+    freezing.Bind(v, Term::Constant("@f_" + v.ToString()));
   }
   return freezing;
 }

@@ -1,7 +1,9 @@
 #include "logic/homomorphism.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <set>
 
 #include "base/governor.h"
@@ -10,19 +12,9 @@
 namespace omqc {
 namespace {
 
-/// Counts how many arguments of `atom` are bound under `sub` (constants and
-/// nulls count as bound).
-int BoundArgs(const Atom& atom, const Substitution& sub) {
-  int bound = 0;
-  for (const Term& t : atom.args) {
-    if (!t.IsVariable() || sub.IsBound(t)) ++bound;
-  }
-  return bound;
-}
+using Visitor = std::function<bool(const Substitution&)>;
 
 /// Per-recursion-depth swap space for the k-way candidate intersection.
-/// The buffers live in SearchState (one set per depth, reused across the
-/// whole search) so the hot loop never allocates once warmed up.
 struct IntersectScratch {
   std::vector<const std::vector<AtomId>*> lists;
   std::vector<AtomId> result;
@@ -32,39 +24,64 @@ struct IntersectScratch {
 /// No arena id: Instance reserves this value as its empty-slot marker.
 constexpr AtomId kNoAtom = std::numeric_limits<AtomId>::max();
 
-struct SearchState {
-  SearchState(const Instance& target_,
-              const std::function<bool(const Substitution&)>& visitor_,
-              size_t max_steps_, ResourceGovernor* governor_)
-      : target(target_), visitor(visitor_), max_steps(max_steps_),
-        governor(governor_) {}
+/// The slot of an argument that is not a variable (a constant or a null,
+/// which must map to itself).
+constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
 
-  const Instance& target;
-  const std::function<bool(const Substitution&)>& visitor;
-  size_t max_steps;
-  ResourceGovernor* governor = nullptr;
-  size_t steps = 0;
-  size_t candidates_scanned = 0;
-  size_t postings_intersections = 0;
-  size_t candidates_pruned_by_intersection = 0;
-  /// HomomorphismOptions::excluded_atom, or kNoAtom: the candidate loops
-  /// skip this id.
-  AtomId excluded = kNoAtom;
-  bool visitor_stop = false;  // visitor requested stop
-  bool exhausted = false;     // max_steps budget or governor trip
-  /// Undo trail of freshly bound variables, shared across the recursion:
-  /// each frame remembers its watermark and unwinds back to it, so no
-  /// per-candidate vector is ever allocated.
-  std::vector<Term> trail;
+/// The storage one search runs on. Every search on a thread at the same
+/// nesting depth reuses it (see Lease), so once its vectors have grown to
+/// the largest search seen, a search allocates nothing.
+struct Workspace {
+  /// The slot of argument k of atoms[i] is arg_slot[atom_begin[i] + k].
+  std::vector<uint32_t> atom_begin;
+  std::vector<uint32_t> arg_slot;
+  /// The variable behind each slot; slots are numbered in order of first
+  /// occurrence in the atoms.
+  std::vector<Term> slot_var;
+  /// The current image of each slot; an invalid Term means unbound.
+  std::vector<Term> image;
+  /// Undo trail of freshly bound slots, shared across the recursion: each
+  /// frame remembers its watermark and unwinds back to it.
+  std::vector<uint32_t> trail;
+  /// Indices of the atoms not matched yet.
+  std::vector<size_t> remaining;
   /// Intersection buffers, indexed by recursion depth (= atoms matched so
-  /// far). Grown lazily; inner heap buffers survive outer resizes, so
-  /// pointers into `result.data()` stay valid across deeper recursion.
+  /// far), sized before the recursion starts.
   std::vector<IntersectScratch> scratch;
+  /// The substitution a visitor is handed at each leaf.
+  Substitution leaf;
+};
 
-  IntersectScratch& ScratchAt(size_t depth) {
-    if (scratch.size() <= depth) scratch.resize(depth + 1);
-    return scratch[depth];
+/// Leases this thread's workspace for the current nesting depth for the
+/// lifetime of one search. A visitor that itself searches runs one level
+/// deeper and gets a workspace of its own, so it cannot clobber the
+/// bindings of the search that called it.
+class Lease {
+ public:
+  Lease() {
+    Stack& stack = ThreadStack();
+    if (stack.depth == stack.spaces.size()) {
+      stack.spaces.push_back(std::make_unique<Workspace>());
+    }
+    workspace_ = stack.spaces[stack.depth++].get();
   }
+  ~Lease() { --ThreadStack().depth; }
+  Lease(const Lease&) = delete;
+  Lease& operator=(const Lease&) = delete;
+
+  Workspace& workspace() const { return *workspace_; }
+
+ private:
+  struct Stack {
+    std::vector<std::unique_ptr<Workspace>> spaces;  // by nesting depth
+    size_t depth = 0;                                // spaces in use
+  };
+  static Stack& ThreadStack() {
+    thread_local Stack stack;
+    return stack;
+  }
+
+  Workspace* workspace_ = nullptr;
 };
 
 /// The candidate set for one atom under the current bindings. Two layouts:
@@ -77,48 +94,6 @@ struct CandidateSet {
   bool packed = false;  ///< sweep Instance::Postings(predicate) instead
 };
 
-/// Builds the candidate set for `atom` under `sub`, intersecting the
-/// postings of ALL bound argument positions (multiplicative pruning; the
-/// pre-kernel code scanned the single smallest list). A bound position
-/// with an empty postings list refutes the atom outright: the empty set is
-/// returned immediately and the caller skips even its governor probe.
-CandidateSet BuildCandidates(const Atom& atom, const Substitution& sub,
-                             SearchState& state, size_t depth) {
-  IntersectScratch& scratch = state.ScratchAt(depth);
-  scratch.lists.clear();
-  for (size_t i = 0; i < atom.args.size(); ++i) {
-    const Term& t = atom.args[i];
-    Term image = t.IsVariable() ? sub.Apply(t) : t;
-    if (image.IsVariable()) continue;
-    const std::vector<AtomId>& list =
-        state.target.IdsWithArg(atom.predicate, static_cast<int>(i), image);
-    if (list.empty()) return CandidateSet{};  // bound position refutes
-    scratch.lists.push_back(&list);
-  }
-  if (scratch.lists.empty()) {
-    // No bound position: full-predicate sweep over the packed mirror.
-    CandidateSet set;
-    set.packed = true;
-    set.count = state.target.Postings(atom.predicate).size();
-    return set;
-  }
-  if (scratch.lists.size() == 1) {
-    return CandidateSet{scratch.lists[0]->data(), scratch.lists[0]->size(),
-                        false};
-  }
-  const size_t smallest =
-      (*std::min_element(scratch.lists.begin(), scratch.lists.end(),
-                         [](const std::vector<AtomId>* x,
-                            const std::vector<AtomId>* y) {
-                           return x->size() < y->size();
-                         }))
-          ->size();
-  IntersectPostingsKWay(scratch.lists, scratch.result, scratch.tmp);
-  ++state.postings_intersections;
-  state.candidates_pruned_by_intersection += smallest - scratch.result.size();
-  return CandidateSet{scratch.result.data(), scratch.result.size(), false};
-}
-
 /// Prefetch lookahead inside candidate id loops: far enough to cover the
 /// arena load latency, near enough that the line is still resident when
 /// the loop reaches it.
@@ -129,142 +104,365 @@ constexpr size_t kScanPrefetchDistance = 8;
 /// load stays invisible next to the index lookups (<2% — EXPERIMENTS.md).
 constexpr size_t kGovernorStride = 64;
 
-/// Extends `sub` so that `atom` maps onto `candidate` (a span into the
-/// target's arena); pushes the freshly bound variables onto `trail`.
-/// Returns false (leaving the fresh bindings for the caller to undo) when
-/// the match is infeasible.
-bool TryMatch(const Atom& atom, AtomView candidate, Substitution& sub,
-              std::vector<Term>& trail) {
-  for (size_t i = 0; i < atom.args.size(); ++i) {
-    const Term& from = atom.args[i];
-    const Term& to = candidate.arg(i);
-    if (!from.IsVariable()) {
-      if (from != to) return false;
-      continue;
+/// One homomorphism search from `atoms` into `target` on a leased
+/// workspace. The constructor numbers the variables of `atoms` into slots,
+/// all unbound; the Bind* calls seed them; Run or RunPinned explores.
+class Search {
+ public:
+  Search(const std::vector<Atom>& atoms, const Instance& target,
+         const HomomorphismOptions& options, Workspace& ws)
+      : atoms_(atoms), target_(target), ws_(ws),
+        governor_(options.governor), counters_(options.counters) {
+    ws_.atom_begin.clear();
+    ws_.arg_slot.clear();
+    ws_.slot_var.clear();
+    for (const Atom& atom : atoms_) {
+      ws_.atom_begin.push_back(static_cast<uint32_t>(ws_.arg_slot.size()));
+      for (const Term& t : atom.args) {
+        uint32_t slot = kNoSlot;
+        if (t.IsVariable()) {
+          slot = SlotOf(t);
+          if (slot == kNoSlot) {
+            slot = static_cast<uint32_t>(ws_.slot_var.size());
+            ws_.slot_var.push_back(t);
+          }
+        }
+        ws_.arg_slot.push_back(slot);
+      }
     }
-    auto existing = sub.Lookup(from);
-    if (existing.has_value()) {
-      if (*existing != to) return false;
-      continue;
+    ws_.atom_begin.push_back(static_cast<uint32_t>(ws_.arg_slot.size()));
+    ws_.image.assign(ws_.slot_var.size(), Term());
+    ws_.trail.clear();
+    if (ws_.scratch.size() <= atoms_.size()) {
+      ws_.scratch.resize(atoms_.size() + 1);
     }
-    sub.Bind(from, to);
-    trail.push_back(from);
   }
-  return true;
-}
 
-/// Recursive most-constrained-first backtracking search. `remaining` holds
-/// indices of body atoms not yet matched.
-bool Search(const std::vector<Atom>& atoms, std::vector<size_t>& remaining,
-            Substitution& sub, SearchState& state) {
-  ++state.steps;  // counted even without a budget, for observability
-  if (state.max_steps != 0 && state.steps > state.max_steps) {
-    state.exhausted = true;
-    return false;
+  /// Binds the slot of every variable `seed` binds. The seed's other
+  /// bindings (variables outside `atoms`, non-variables) never constrain
+  /// the search; they reach the witness through Materialize.
+  void BindSeed(const Substitution& seed) {
+    seed_ = &seed;
+    for (const auto& [from, to] : seed.bindings()) {
+      if (!from.IsVariable()) continue;
+      const uint32_t slot = SlotOf(from);
+      if (slot != kNoSlot) ws_.image[slot] = to;
+    }
   }
-  if (remaining.empty()) {
-    if (!state.visitor(sub)) state.visitor_stop = true;
+
+  /// Binds answer variable i to tuple[i]. False when the tuple clashes
+  /// with a constant answer term or a repeated answer variable.
+  bool BindAnswer(const std::vector<Term>& vars,
+                  const std::vector<Term>& tuple) {
+    for (size_t i = 0; i < vars.size(); ++i) {
+      const Term& v = vars[i];
+      if (!v.IsVariable()) {
+        if (v != tuple[i]) return false;
+        continue;
+      }
+      for (size_t j = 0; j < i; ++j) {
+        if (vars[j] == v && tuple[j] != tuple[i]) return false;
+      }
+      const uint32_t slot = SlotOf(v);
+      if (slot != kNoSlot) ws_.image[slot] = tuple[i];
+    }
     return true;
   }
-  // Pick the remaining atom with the most bound arguments.
-  size_t best_pos = 0;
-  int best_bound = -1;
-  for (size_t pos = 0; pos < remaining.size(); ++pos) {
-    int bound = BoundArgs(atoms[remaining[pos]], sub);
-    if (bound > best_bound) {
-      best_bound = bound;
-      best_pos = pos;
+
+  /// Hands every homomorphism to `visitor` (until it returns false);
+  /// without one, the first homomorphism stops the search and is copied
+  /// into `found` when that is non-null.
+  void SetLeaf(const Visitor* visitor, Substitution* found) {
+    visitor_ = visitor;
+    found_ = found;
+  }
+
+  /// Most-constrained-first search over every atom. `max_steps` 0 means
+  /// unbounded.
+  HomSearchOutcome Run(size_t max_steps,
+                       std::optional<AtomId> excluded_atom) {
+    max_steps_ = max_steps;
+    excluded_ = excluded_atom.value_or(kNoAtom);
+    ws_.remaining.clear();
+    for (size_t i = 0; i < atoms_.size(); ++i) ws_.remaining.push_back(i);
+    const bool found = Extend();
+    Flush();
+    if (found) return HomSearchOutcome::kFound;
+    // An exhausted budget means the unexplored remainder could still hold
+    // a homomorphism — never report kNotFound in that case.
+    return exhausted_ ? HomSearchOutcome::kExhausted
+                      : HomSearchOutcome::kNotFound;
+  }
+
+  /// The pinned enumeration: atoms[pinned_index] matches only
+  /// `view_at(0..count)`, the other atoms search the target. See
+  /// ForEachHomomorphismPinned for `kHomogeneous`.
+  template <bool kHomogeneous, typename ViewAt>
+  void RunPinned(size_t pinned_index, size_t count, ViewAt view_at) {
+    const Predicate pinned = atoms_[pinned_index].predicate;
+    ws_.remaining.clear();
+    for (size_t i = 0; i < atoms_.size(); ++i) {
+      if (i != pinned_index) ws_.remaining.push_back(i);
+    }
+    for (size_t c = 0; c < count; ++c) {
+      AtomView candidate = view_at(c);
+      if (!kHomogeneous && candidate.predicate() != pinned) continue;
+      ++candidates_scanned_;
+      if (governor_ != nullptr &&
+          candidates_scanned_ % kGovernorStride == 0 &&
+          !governor_->Check().ok()) {
+        exhausted_ = true;
+        break;
+      }
+      const size_t trail_mark = ws_.trail.size();
+      if (TryMatch(pinned_index, candidate)) Extend();
+      Undo(trail_mark);
+      if (stop_ || exhausted_) break;
+    }
+    Flush();
+  }
+
+ private:
+  /// The slot of variable `v`, or kNoSlot when no atom mentions it. A
+  /// linear scan: searches have a handful of variables, and it hashes
+  /// nothing.
+  uint32_t SlotOf(const Term& v) const {
+    for (size_t s = 0; s < ws_.slot_var.size(); ++s) {
+      if (ws_.slot_var[s] == v) return static_cast<uint32_t>(s);
+    }
+    return kNoSlot;
+  }
+
+  const uint32_t* SlotsOf(size_t atom_index) const {
+    return ws_.arg_slot.data() + ws_.atom_begin[atom_index];
+  }
+
+  /// Counts the bound arguments of atoms[atom_index] (constants and nulls
+  /// count as bound).
+  int BoundArgs(size_t atom_index) const {
+    const uint32_t* slots = SlotsOf(atom_index);
+    const size_t arity = atoms_[atom_index].args.size();
+    int bound = 0;
+    for (size_t i = 0; i < arity; ++i) {
+      if (slots[i] == kNoSlot || ws_.image[slots[i]].valid()) ++bound;
+    }
+    return bound;
+  }
+
+  /// Builds the candidate set for atoms[atom_index], intersecting the
+  /// postings of ALL bound argument positions (multiplicative pruning; the
+  /// pre-kernel code scanned the single smallest list). A bound position
+  /// with an empty postings list refutes the atom outright: the empty set
+  /// is returned immediately and the caller skips even its governor probe.
+  CandidateSet BuildCandidates(size_t atom_index, size_t depth) {
+    const Atom& atom = atoms_[atom_index];
+    const uint32_t* slots = SlotsOf(atom_index);
+    IntersectScratch& scratch = ws_.scratch[depth];
+    scratch.lists.clear();
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      Term image = atom.args[i];
+      if (slots[i] != kNoSlot) {
+        image = ws_.image[slots[i]];
+        // Unbound, or bound by the seed to a variable no atom can carry.
+        if (!image.valid() || image.IsVariable()) continue;
+      }
+      const std::vector<AtomId>& list =
+          target_.IdsWithArg(atom.predicate, static_cast<int>(i), image);
+      if (list.empty()) return CandidateSet{};  // bound position refutes
+      scratch.lists.push_back(&list);
+    }
+    if (scratch.lists.empty()) {
+      // No bound position: full-predicate sweep over the packed mirror.
+      CandidateSet set;
+      set.packed = true;
+      set.count = target_.Postings(atom.predicate).size();
+      return set;
+    }
+    if (scratch.lists.size() == 1) {
+      return CandidateSet{scratch.lists[0]->data(), scratch.lists[0]->size(),
+                          false};
+    }
+    const size_t smallest =
+        (*std::min_element(scratch.lists.begin(), scratch.lists.end(),
+                           [](const std::vector<AtomId>* x,
+                              const std::vector<AtomId>* y) {
+                             return x->size() < y->size();
+                           }))
+            ->size();
+    IntersectPostingsKWay(scratch.lists, scratch.result, scratch.tmp);
+    ++postings_intersections_;
+    candidates_pruned_by_intersection_ += smallest - scratch.result.size();
+    return CandidateSet{scratch.result.data(), scratch.result.size(), false};
+  }
+
+  /// Extends the bindings so that atoms[atom_index] maps onto `candidate`
+  /// (a span into the target's arena or a pinned atom), trailing the
+  /// freshly bound slots. Returns false (leaving the fresh bindings for
+  /// the caller to undo) when the match is infeasible.
+  bool TryMatch(size_t atom_index, AtomView candidate) {
+    const Atom& atom = atoms_[atom_index];
+    const uint32_t* slots = SlotsOf(atom_index);
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      const Term& to = candidate.arg(i);
+      if (slots[i] == kNoSlot) {
+        if (atom.args[i] != to) return false;
+        continue;
+      }
+      Term& image = ws_.image[slots[i]];
+      if (image.valid()) {
+        if (image != to) return false;
+        continue;
+      }
+      image = to;
+      ws_.trail.push_back(slots[i]);
+    }
+    return true;
+  }
+
+  /// Unbinds every slot trailed since `mark`.
+  void Undo(size_t mark) {
+    while (ws_.trail.size() > mark) {
+      ws_.image[ws_.trail.back()] = Term();
+      ws_.trail.pop_back();
     }
   }
-  std::swap(remaining[best_pos], remaining.back());
-  size_t atom_index = remaining.back();
-  remaining.pop_back();
-  const Atom& atom = atoms[atom_index];
 
-  bool found = false;
-  const size_t depth = atoms.size() - remaining.size();
-  CandidateSet cands = BuildCandidates(atom, sub, state, depth);
-  if (cands.count != 0) {
-    // The governor is probed only for candidate sets with work in them:
-    // an empty set (e.g. a bound position with no postings) returns
-    // without paying for the probe.
-    if (state.governor != nullptr && state.steps % kGovernorStride == 0 &&
-        !state.governor->Check().ok()) {
-      state.exhausted = true;
-      remaining.push_back(atom_index);
-      std::swap(remaining[best_pos], remaining.back());
+  /// Binds every slot's variable to its image in `out`, which holds the
+  /// seed: at a leaf, where all slots are bound, that is the homomorphism.
+  void Materialize(Substitution& out) const {
+    for (size_t s = 0; s < ws_.slot_var.size(); ++s) {
+      out.Bind(ws_.slot_var[s], ws_.image[s]);
+    }
+  }
+
+  /// Every atom is matched. Returns true (a homomorphism was found).
+  bool Leaf() {
+    if (visitor_ != nullptr) {
+      // Later leaves bind the same slot variables, so the seed is copied
+      // in once per search and each leaf only overwrites slot bindings.
+      if (!leaf_seeded_) {
+        if (seed_->empty()) {
+          ws_.leaf.Clear();  // keeps the buckets a copy would reallocate
+        } else {
+          ws_.leaf = *seed_;
+        }
+        leaf_seeded_ = true;
+      }
+      Materialize(ws_.leaf);
+      if (!(*visitor_)(ws_.leaf)) stop_ = true;
+      return true;
+    }
+    if (found_ != nullptr) {
+      if (found_ != seed_) *found_ = *seed_;
+      Materialize(*found_);
+    }
+    stop_ = true;  // the first homomorphism settles the search
+    return true;
+  }
+
+  /// Recursive most-constrained-first backtracking over ws_.remaining.
+  bool Extend() {
+    ++steps_;  // counted even without a budget, for observability
+    if (max_steps_ != 0 && steps_ > max_steps_) {
+      exhausted_ = true;
       return false;
     }
-    const size_t trail_mark = state.trail.size();
-    if (cands.packed) {
-      // Unindexed fallback: sweep the predicate through its packed
-      // predicate-major mirror — one linear read, no arena striding.
-      PostingsSpan span = state.target.Postings(atom.predicate);
-      for (size_t j = 0; j < cands.count; ++j) {
-        ++state.candidates_scanned;
-        if (span.id(j) == state.excluded) continue;
-        if (TryMatch(atom, span.view(j), sub, state.trail)) {
-          if (Search(atoms, remaining, sub, state)) found = true;
-        }
-        while (state.trail.size() > trail_mark) {
-          sub.Unbind(state.trail.back());
-          state.trail.pop_back();
-        }
-        if (state.visitor_stop || state.exhausted) break;
-      }
-    } else {
-      for (size_t j = 0; j < cands.count; ++j) {
-        if (j + kScanPrefetchDistance < cands.count) {
-          state.target.PrefetchTerms(cands.ids[j + kScanPrefetchDistance]);
-        }
-        ++state.candidates_scanned;
-        if (cands.ids[j] == state.excluded) continue;
-        AtomView candidate = state.target.view(cands.ids[j]);
-        if (TryMatch(atom, candidate, sub, state.trail)) {
-          if (Search(atoms, remaining, sub, state)) found = true;
-        }
-        while (state.trail.size() > trail_mark) {
-          sub.Unbind(state.trail.back());
-          state.trail.pop_back();
-        }
-        if (state.visitor_stop || state.exhausted) break;
+    std::vector<size_t>& remaining = ws_.remaining;
+    if (remaining.empty()) return Leaf();
+    // Pick the remaining atom with the most bound arguments.
+    size_t best_pos = 0;
+    int best_bound = -1;
+    for (size_t pos = 0; pos < remaining.size(); ++pos) {
+      int bound = BoundArgs(remaining[pos]);
+      if (bound > best_bound) {
+        best_bound = bound;
+        best_pos = pos;
       }
     }
+    std::swap(remaining[best_pos], remaining.back());
+    const size_t atom_index = remaining.back();
+    remaining.pop_back();
+
+    bool found = false;
+    const size_t depth = atoms_.size() - remaining.size();
+    CandidateSet cands = BuildCandidates(atom_index, depth);
+    if (cands.count != 0) {
+      // The governor is probed only for candidate sets with work in them:
+      // an empty set (e.g. a bound position with no postings) returns
+      // without paying for the probe.
+      if (governor_ != nullptr && steps_ % kGovernorStride == 0 &&
+          !governor_->Check().ok()) {
+        exhausted_ = true;
+        remaining.push_back(atom_index);
+        std::swap(remaining[best_pos], remaining.back());
+        return false;
+      }
+      const size_t trail_mark = ws_.trail.size();
+      if (cands.packed) {
+        // Unindexed fallback: sweep the predicate through its packed
+        // predicate-major mirror — one linear read, no arena striding.
+        PostingsSpan span = target_.Postings(atoms_[atom_index].predicate);
+        for (size_t j = 0; j < cands.count; ++j) {
+          ++candidates_scanned_;
+          if (span.id(j) == excluded_) continue;
+          if (TryMatch(atom_index, span.view(j)) && Extend()) found = true;
+          Undo(trail_mark);
+          if (stop_ || exhausted_) break;
+        }
+      } else {
+        for (size_t j = 0; j < cands.count; ++j) {
+          if (j + kScanPrefetchDistance < cands.count) {
+            target_.PrefetchTerms(cands.ids[j + kScanPrefetchDistance]);
+          }
+          ++candidates_scanned_;
+          if (cands.ids[j] == excluded_) continue;
+          if (TryMatch(atom_index, target_.view(cands.ids[j])) && Extend()) {
+            found = true;
+          }
+          Undo(trail_mark);
+          if (stop_ || exhausted_) break;
+        }
+      }
+    }
+
+    remaining.push_back(atom_index);
+    std::swap(remaining[best_pos], remaining.back());
+    return found;
   }
 
-  remaining.push_back(atom_index);
-  std::swap(remaining[best_pos], remaining.back());
-  return found;
-}
-
-/// Runs one search and flushes counters. Returns the tri-state verdict.
-HomSearchOutcome RunSearch(
-    const std::vector<Atom>& atoms, const Instance& target,
-    const Substitution& seed,
-    const std::function<bool(const Substitution&)>& visitor,
-    const HomomorphismOptions& options, bool* found_any) {
-  Substitution sub = seed;
-  std::vector<size_t> remaining(atoms.size());
-  for (size_t i = 0; i < atoms.size(); ++i) remaining[i] = i;
-  SearchState state(target, visitor, options.max_steps, options.governor);
-  state.excluded = options.excluded_atom.value_or(kNoAtom);
-  bool found = Search(atoms, remaining, sub, state);
-  if (found_any != nullptr) *found_any = found;
-  if (options.counters != nullptr) {
-    ++options.counters->searches;
-    options.counters->steps += state.steps;
-    options.counters->candidates_scanned += state.candidates_scanned;
-    options.counters->postings_intersections += state.postings_intersections;
-    options.counters->candidates_pruned_by_intersection +=
-        state.candidates_pruned_by_intersection;
-    if (state.exhausted) ++options.counters->budget_exhaustions;
+  void Flush() const {
+    if (counters_ == nullptr) return;
+    ++counters_->searches;
+    counters_->steps += steps_;
+    counters_->candidates_scanned += candidates_scanned_;
+    counters_->postings_intersections += postings_intersections_;
+    counters_->candidates_pruned_by_intersection +=
+        candidates_pruned_by_intersection_;
+    if (exhausted_) ++counters_->budget_exhaustions;
   }
-  if (found) return HomSearchOutcome::kFound;
-  // An exhausted budget means the unexplored remainder could still hold a
-  // homomorphism — never report kNotFound in that case.
-  return state.exhausted ? HomSearchOutcome::kExhausted
-                         : HomSearchOutcome::kNotFound;
-}
+
+  const std::vector<Atom>& atoms_;
+  const Instance& target_;
+  Workspace& ws_;
+  ResourceGovernor* governor_;
+  HomCounters* counters_;
+  /// Base of every materialized homomorphism. Set by BindSeed, which every
+  /// entry point that passes a visitor or `found` calls.
+  const Substitution* seed_ = nullptr;
+  const Visitor* visitor_ = nullptr;
+  Substitution* found_ = nullptr;
+  size_t max_steps_ = 0;
+  /// HomomorphismOptions::excluded_atom, or kNoAtom: the candidate loops
+  /// skip this id.
+  AtomId excluded_ = kNoAtom;
+  size_t steps_ = 0;
+  size_t candidates_scanned_ = 0;
+  size_t postings_intersections_ = 0;
+  size_t candidates_pruned_by_intersection_ = 0;
+  bool leaf_seeded_ = false;
+  bool stop_ = false;       // a visitor asked to stop, or the first hit
+  bool exhausted_ = false;  // max_steps budget or governor trip
+};
 
 }  // namespace
 
@@ -273,12 +471,11 @@ HomSearchOutcome SearchHomomorphism(const std::vector<Atom>& atoms,
                                     const Substitution& seed,
                                     const HomomorphismOptions& options,
                                     Substitution* found) {
-  std::function<bool(const Substitution&)> capture =
-      [found](const Substitution& sub) {
-        if (found != nullptr) *found = sub;
-        return false;  // stop after the first hit
-      };
-  return RunSearch(atoms, target, seed, capture, options, nullptr);
+  Lease lease;
+  Search search(atoms, target, options, lease.workspace());
+  search.BindSeed(seed);
+  search.SetLeaf(nullptr, found);
+  return search.Run(options.max_steps, options.excluded_atom);
 }
 
 std::optional<Substitution> FindHomomorphism(
@@ -292,14 +489,16 @@ std::optional<Substitution> FindHomomorphism(
   return std::nullopt;
 }
 
-void ForEachHomomorphism(
-    const std::vector<Atom>& atoms, const Instance& target,
-    const Substitution& seed,
-    const std::function<bool(const Substitution&)>& visitor,
-    const HomomorphismOptions& options) {
-  HomomorphismOptions unbounded = options;
-  unbounded.max_steps = 0;  // enumeration is always exhaustive
-  RunSearch(atoms, target, seed, visitor, unbounded, nullptr);
+void ForEachHomomorphism(const std::vector<Atom>& atoms,
+                         const Instance& target, const Substitution& seed,
+                         const Visitor& visitor,
+                         const HomomorphismOptions& options) {
+  Lease lease;
+  Search search(atoms, target, options, lease.workspace());
+  search.BindSeed(seed);
+  search.SetLeaf(&visitor, nullptr);
+  // Enumeration is always exhaustive: max_steps is ignored.
+  search.Run(/*max_steps=*/0, options.excluded_atom);
 }
 
 namespace {
@@ -313,46 +512,13 @@ namespace {
 template <bool kHomogeneous, typename ViewAt>
 void PinnedImpl(const std::vector<Atom>& atoms, size_t pinned_index,
                 size_t count, ViewAt view_at, const Instance& target,
-                const Substitution& seed,
-                const std::function<bool(const Substitution&)>& visitor,
+                const Substitution& seed, const Visitor& visitor,
                 const HomomorphismOptions& options) {
-  const Atom& pinned = atoms[pinned_index];
-  Substitution sub = seed;
-  std::vector<size_t> remaining;
-  remaining.reserve(atoms.size() - 1);
-  for (size_t i = 0; i < atoms.size(); ++i) {
-    if (i != pinned_index) remaining.push_back(i);
-  }
-  SearchState state(target, visitor, /*max_steps=*/0, options.governor);
-  for (size_t c = 0; c < count; ++c) {
-    AtomView candidate = view_at(c);
-    if (!kHomogeneous && candidate.predicate() != pinned.predicate) continue;
-    ++state.candidates_scanned;
-    if (state.governor != nullptr &&
-        state.candidates_scanned % kGovernorStride == 0 &&
-        !state.governor->Check().ok()) {
-      state.exhausted = true;
-      break;
-    }
-    const size_t trail_mark = state.trail.size();
-    if (TryMatch(pinned, candidate, sub, state.trail)) {
-      Search(atoms, remaining, sub, state);
-    }
-    while (state.trail.size() > trail_mark) {
-      sub.Unbind(state.trail.back());
-      state.trail.pop_back();
-    }
-    if (state.visitor_stop || state.exhausted) break;
-  }
-  if (options.counters != nullptr) {
-    ++options.counters->searches;
-    options.counters->steps += state.steps;
-    options.counters->candidates_scanned += state.candidates_scanned;
-    options.counters->postings_intersections += state.postings_intersections;
-    options.counters->candidates_pruned_by_intersection +=
-        state.candidates_pruned_by_intersection;
-    if (state.exhausted) ++options.counters->budget_exhaustions;
-  }
+  Lease lease;
+  Search search(atoms, target, options, lease.workspace());
+  search.BindSeed(seed);
+  search.SetLeaf(&visitor, nullptr);
+  search.RunPinned<kHomogeneous>(pinned_index, count, view_at);
 }
 
 }  // namespace
@@ -360,8 +526,7 @@ void PinnedImpl(const std::vector<Atom>& atoms, size_t pinned_index,
 void ForEachHomomorphismPinned(
     const std::vector<Atom>& atoms, size_t pinned_index,
     const std::vector<Atom>& pinned_candidates, const Instance& target,
-    const Substitution& seed,
-    const std::function<bool(const Substitution&)>& visitor,
+    const Substitution& seed, const Visitor& visitor,
     const HomomorphismOptions& options) {
   PinnedImpl</*kHomogeneous=*/false>(
       atoms, pinned_index, pinned_candidates.size(),
@@ -372,8 +537,7 @@ void ForEachHomomorphismPinned(
 void ForEachHomomorphismPinned(
     const std::vector<Atom>& atoms, size_t pinned_index,
     const std::vector<AtomId>& pinned_ids, const Instance& target,
-    const Substitution& seed,
-    const std::function<bool(const Substitution&)>& visitor,
+    const Substitution& seed, const Visitor& visitor,
     const HomomorphismOptions& options) {
   ForEachHomomorphismPinned(atoms, pinned_index, pinned_ids.data(),
                             pinned_ids.size(), target, seed, visitor,
@@ -383,8 +547,7 @@ void ForEachHomomorphismPinned(
 void ForEachHomomorphismPinned(
     const std::vector<Atom>& atoms, size_t pinned_index,
     const AtomId* pinned_ids, size_t pinned_count, const Instance& target,
-    const Substitution& seed,
-    const std::function<bool(const Substitution&)>& visitor,
+    const Substitution& seed, const Visitor& visitor,
     const HomomorphismOptions& options) {
   PinnedImpl</*kHomogeneous=*/true>(
       atoms, pinned_index, pinned_count,
@@ -434,21 +597,12 @@ HomSearchOutcome TupleInAnswerBudgeted(const ConjunctiveQuery& q,
   if (tuple.size() != q.answer_vars.size()) {
     return HomSearchOutcome::kNotFound;
   }
-  Substitution seed;
-  for (size_t i = 0; i < tuple.size(); ++i) {
-    const Term& v = q.answer_vars[i];
-    if (!v.IsVariable()) {
-      if (v != tuple[i]) return HomSearchOutcome::kNotFound;
-      continue;
-    }
-    auto existing = seed.Lookup(v);
-    if (existing.has_value()) {
-      if (*existing != tuple[i]) return HomSearchOutcome::kNotFound;
-      continue;
-    }
-    seed.Bind(v, tuple[i]);
+  Lease lease;
+  Search search(q.body, instance, options, lease.workspace());
+  if (!search.BindAnswer(q.answer_vars, tuple)) {
+    return HomSearchOutcome::kNotFound;
   }
-  return SearchHomomorphism(q.body, instance, seed, options);
+  return search.Run(options.max_steps, options.excluded_atom);
 }
 
 bool TupleInAnswer(const ConjunctiveQuery& q, const Instance& instance,
@@ -458,7 +612,7 @@ bool TupleInAnswer(const ConjunctiveQuery& q, const Instance& instance,
 }
 
 bool HoldsIn(const ConjunctiveQuery& q, const Instance& instance) {
-  return FindHomomorphism(q.body, instance).has_value();
+  return SearchHomomorphism(q.body, instance) == HomSearchOutcome::kFound;
 }
 
 bool CQContainedIn(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {

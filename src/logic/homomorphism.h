@@ -12,6 +12,16 @@
 // applicability checks, certain-answer computation, CQ containment and the
 // small-witness containment algorithm.
 //
+// Bindings: a search numbers the variables of its atoms into dense slots
+// (first-occurrence order) and keeps their images, undo trail and
+// intersection buffers in a workspace that every search on the same thread
+// at the same nesting depth reuses, so a warmed-up search neither hashes a
+// Term nor allocates. A visitor that itself searches gets the next
+// workspace down; threads never share one. A Substitution is built only
+// at a leaf — for the visitor, or for `*found` — and holds the seed's
+// bindings plus every slot's image (DESIGN.md "Homomorphism search
+// bindings").
+//
 // Budget semantics: a bounded search (max_steps > 0) has THREE outcomes —
 // found / exhaustively refuted / stopped at the budget. The tri-state
 // SearchHomomorphism / TupleInAnswerBudgeted entry points report which one

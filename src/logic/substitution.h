@@ -25,6 +25,9 @@ class Substitution {
   /// Removes the binding of `from`, if any.
   void Unbind(const Term& from) { map_.erase(from); }
 
+  /// Removes every binding.
+  void Clear() { map_.clear(); }
+
   /// The image of `t`: its binding if bound, else `t` itself.
   Term Apply(const Term& t) const {
     auto it = map_.find(t);
@@ -41,8 +44,6 @@ class Substitution {
     if (it == map_.end()) return std::nullopt;
     return it->second;
   }
-
-  bool IsBound(const Term& t) const { return map_.count(t) > 0; }
 
   /// Applies the substitution to every argument of `atom`.
   Atom Apply(const Atom& atom) const;

@@ -1,6 +1,7 @@
 #include "tgd/tgd.h"
 
 #include <algorithm>
+#include <string>
 
 #include "base/string_util.h"
 
@@ -72,7 +73,8 @@ Tgd Tgd::RenamedApart(int index) const {
   std::vector<Term> vars = BodyVariables();
   CollectVariables(head, vars);
   for (const Term& v : vars) {
-    rename.Bind(v, Term::Variable(StrCat(v.ToString(), "#", index)));
+    rename.Bind(v,
+                Term::Variable(v.ToString() + "#" + std::to_string(index)));
   }
   return Tgd(rename.Apply(body), rename.Apply(head));
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "base/governor.h"
 #include "logic/homomorphism.h"
 #include "tgd/parser.h"
@@ -361,6 +365,213 @@ TEST(HomomorphismTest, LargerJoinUsesIndexes) {
   ConjunctiveQuery q = Q("Q(A) :- E(A,B), E(B,C), E(C,D), E(D,F)");
   auto answers = EvaluateCQ(q, db);
   EXPECT_EQ(answers.size(), 27u);
+}
+
+// The search numbers the variables of its atoms into slots on a
+// workspace reused per thread and nesting depth. The tests below pin
+// what that must not change: a visitor may search again, threads search
+// independently, and the witness is the whole seed plus the slots.
+
+/// The images of `vars` under `sub`, in order: "a,b,".
+std::string Images(const Substitution& sub, const std::vector<Term>& vars) {
+  std::string out;
+  for (const Term& v : vars) out += sub.Apply(v).ToString() + ",";
+  return out;
+}
+
+TEST(HomomorphismReentrancyTest, VisitorsThatSearchSeeTopLevelResults) {
+  Database db = Db("E(a,b). E(b,c). E(c,d). E(d,a). E(b,d). P(c). P(d).");
+  ConjunctiveQuery edge = Q("Q(X,Y) :- E(X,Y)");
+  ConjunctiveQuery reach = Q("Q(X) :- E(X,Y), E(Y,Z), P(Z)");
+  ConjunctiveQuery path = Q("Q(X,Z) :- E(X,Y), E(Y,Z)");
+  const std::vector<Term> xy = {Term::Variable("X"), Term::Variable("Y")};
+  const std::vector<Term> yz = {Term::Variable("Y"), Term::Variable("Z")};
+  // The two-step paths from `from`, by enumeration.
+  auto paths_from = [&](const Term& from) {
+    std::vector<std::string> ends;
+    Substitution seed;
+    seed.Bind(Term::Variable("X"), from);
+    ForEachHomomorphism(path.body, db, seed, [&](const Substitution& sub) {
+      ends.push_back(Images(sub, yz));
+      return true;
+    });
+    return ends;
+  };
+
+  struct Visit {
+    std::string edge;
+    bool reaches = false;
+    std::vector<std::string> paths;
+  };
+  std::vector<Visit> nested;
+  ForEachHomomorphism(edge.body, db, Substitution(),
+                      [&](const Substitution& sub) {
+                        Visit visit;
+                        visit.edge = Images(sub, xy);
+                        const Term x = sub.Apply(Term::Variable("X"));
+                        visit.reaches = TupleInAnswer(reach, db, {x});
+                        visit.paths = paths_from(x);
+                        // The nested searches left this one's bindings be.
+                        EXPECT_EQ(Images(sub, xy), visit.edge);
+                        nested.push_back(visit);
+                        return true;
+                      });
+
+  std::vector<Term> sources;
+  ForEachHomomorphism(edge.body, db, Substitution(),
+                      [&](const Substitution& sub) {
+                        sources.push_back(sub.Apply(Term::Variable("X")));
+                        return true;
+                      });
+  ASSERT_EQ(nested.size(), 5u);
+  ASSERT_EQ(sources.size(), nested.size());
+  for (size_t i = 0; i < nested.size(); ++i) {
+    SCOPED_TRACE(nested[i].edge);
+    EXPECT_EQ(nested[i].edge.substr(0, nested[i].edge.find(',')),
+              sources[i].ToString());
+    EXPECT_EQ(nested[i].reaches, TupleInAnswer(reach, db, {sources[i]}));
+    EXPECT_EQ(nested[i].paths, paths_from(sources[i]));
+  }
+}
+
+TEST(HomomorphismReentrancyTest, ConcurrentSearchesAgreeWithASerialRun) {
+  Database db;
+  for (int i = 0; i < 40; ++i) {
+    db.Add(Atom::Make("E", {Term::Constant("v" + std::to_string(i)),
+                            Term::Constant("v" + std::to_string(i + 1))}));
+    db.Add(Atom::Make("E", {Term::Constant("v" + std::to_string(i)),
+                            Term::Constant("v" + std::to_string(i / 2))}));
+  }
+  db.Add(Atom::Make("P", {Term::Constant("v7")}));
+  const std::vector<ConjunctiveQuery> queries = {
+      Q("Q(A) :- E(A,B), E(B,C), P(C)"),
+      Q("Q(A,C) :- E(A,B), E(B,C), E(C,A)"),
+      Q("Q(A) :- E(A,B), E(B,C), E(C,D), E(D,F)"),
+  };
+  auto run = [&] {
+    std::vector<std::string> out;
+    for (int round = 0; round < 20; ++round) {
+      for (const ConjunctiveQuery& q : queries) {
+        std::string line;
+        for (const std::vector<Term>& tuple : EvaluateCQ(q, db)) {
+          for (const Term& t : tuple) line += t.ToString() + ",";
+          line += TupleInAnswer(q, db, tuple) ? "+;" : "-;";
+        }
+        out.push_back(line);
+      }
+    }
+    return out;
+  };
+  const std::vector<std::string> serial = run();
+  std::vector<std::vector<std::string>> parallel(4);
+  std::vector<std::thread> threads;
+  for (auto& result : parallel) {
+    threads.emplace_back([&run, &result] { result = run(); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const auto& result : parallel) EXPECT_EQ(result, serial);
+}
+
+TEST(HomomorphismTest, WitnessKeepsSeedBindingsOutsideTheAtoms) {
+  Database db = Db("R(a,b).");
+  ConjunctiveQuery q = Q("Q(X) :- R(X,Y)");
+  Substitution seed;
+  seed.Bind(Term::Variable("X"), Term::Constant("a"));
+  seed.Bind(Term::Variable("Unused"), Term::Constant("zz"));
+  Substitution witness;
+  ASSERT_EQ(SearchHomomorphism(q.body, db, seed, HomomorphismOptions(),
+                               &witness),
+            HomSearchOutcome::kFound);
+  EXPECT_EQ(witness.size(), 3u);
+  EXPECT_EQ(witness.Apply(Term::Variable("Unused")), Term::Constant("zz"));
+  EXPECT_EQ(witness.Apply(Term::Variable("Y")), Term::Constant("b"));
+  // The enumeration hands visitors the same substitution.
+  std::vector<std::string> visited;
+  ForEachHomomorphism(q.body, db, seed, [&](const Substitution& sub) {
+    visited.push_back(sub.ToString());
+    return true;
+  });
+  EXPECT_EQ(visited, std::vector<std::string>{witness.ToString()});
+  // The witness may be written into the seed itself.
+  ASSERT_EQ(SearchHomomorphism(q.body, db, seed, HomomorphismOptions(), &seed),
+            HomSearchOutcome::kFound);
+  EXPECT_EQ(seed.ToString(), witness.ToString());
+}
+
+TEST(HomomorphismTest, SeedMayBindAVariableToANull) {
+  Database db;
+  const Term null = Term::NullWithId(7);
+  db.Add(Atom::Make("R", {null, Term::Constant("b")}));
+  db.Add(Atom::Make("R", {Term::Constant("a"), Term::Constant("c")}));
+  ConjunctiveQuery q = Q("Q(X) :- R(X,Y)");
+  Substitution seed;
+  seed.Bind(Term::Variable("X"), null);
+  Substitution witness;
+  ASSERT_EQ(SearchHomomorphism(q.body, db, seed, HomomorphismOptions(),
+                               &witness),
+            HomSearchOutcome::kFound);
+  EXPECT_EQ(witness.Apply(Term::Variable("X")), null);
+  EXPECT_EQ(witness.Apply(Term::Variable("Y")), Term::Constant("b"));
+  seed.Bind(Term::Variable("X"), Term::NullWithId(8));
+  EXPECT_EQ(SearchHomomorphism(q.body, db, seed), HomSearchOutcome::kNotFound);
+}
+
+TEST(HomomorphismTest, ExcludedAtomIsHonoredByEnumerationAndMembership) {
+  Database db = Db("R(a,b). R(a,c).");
+  ConjunctiveQuery q = Q("Q(Y) :- R(a,Y)");
+  HomomorphismOptions options;
+  options.excluded_atom = *db.FindId(
+      Atom::Make("R", {Term::Constant("a"), Term::Constant("b")}));
+  std::vector<std::string> images;
+  ForEachHomomorphism(
+      q.body, db, Substitution(),
+      [&](const Substitution& sub) {
+        images.push_back(sub.Apply(Term::Variable("Y")).ToString());
+        return true;
+      },
+      options);
+  EXPECT_EQ(images, std::vector<std::string>{"c"});
+  EXPECT_EQ(TupleInAnswerBudgeted(q, db, {Term::Constant("b")}, options),
+            HomSearchOutcome::kNotFound);
+  EXPECT_EQ(TupleInAnswerBudgeted(q, db, {Term::Constant("c")}, options),
+            HomSearchOutcome::kFound);
+}
+
+TEST(HomomorphismTest, BudgetNeverTurnsExhaustionIntoAbsence) {
+  // For every budget: a query with a match reports kFound or kExhausted,
+  // a query without one kNotFound or kExhausted, and from the budget the
+  // unbounded search needed on, the exact answer.
+  Database db;
+  for (int i = 0; i < 12; ++i) {
+    db.Add(Atom::Make("E", {Term::Constant("v" + std::to_string(i)),
+                            Term::Constant("v" + std::to_string(i + 1))}));
+  }
+  db.Add(Atom::Make("P", {Term::Constant("v12")}));
+  ConjunctiveQuery hit = Q("Q(A) :- E(A,B), E(B,C), E(C,D), P(D)");
+  ConjunctiveQuery miss = Q("Q(A) :- E(A,B), E(B,C), E(C,D), P(C), P(D)");
+  for (const ConjunctiveQuery* q : {&hit, &miss}) {
+    HomCounters unbounded;
+    HomomorphismOptions exact;
+    exact.counters = &unbounded;
+    const HomSearchOutcome answer =
+        SearchHomomorphism(q->body, db, Substitution(), exact);
+    ASSERT_NE(answer, HomSearchOutcome::kExhausted);
+    for (size_t budget = 1; budget <= unbounded.steps + 1; ++budget) {
+      SCOPED_TRACE("budget " + std::to_string(budget));
+      HomomorphismOptions options;
+      options.max_steps = budget;
+      const HomSearchOutcome got =
+          SearchHomomorphism(q->body, db, Substitution(), options);
+      if (budget >= unbounded.steps) {
+        EXPECT_EQ(got, answer);
+      } else {
+        EXPECT_TRUE(got == answer || got == HomSearchOutcome::kExhausted);
+        if (answer == HomSearchOutcome::kNotFound) {
+          EXPECT_EQ(got, HomSearchOutcome::kExhausted);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

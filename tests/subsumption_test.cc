@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "core/containment.h"
 #include "core/frontend.h"
 #include "logic/homomorphism.h"
 #include "rewrite/xrewrite.h"
@@ -127,6 +128,33 @@ TEST(SubsumptionScanTest, GuardedSoakEnumerationsArePinned) {
     EXPECT_EQ(run.stats.subsumption_prunes, p.subsumption_prunes);
     EXPECT_LE(run.stats.subsumption_prunes, run.stats.subsumption_checks);
   }
+}
+
+TEST(SubsumptionScanTest, GuardedSoakSearchTreesArePinned) {
+  // The homomorphism search explores the same tree however it stores its
+  // bindings: the counters of the searches behind CheckContainment's RHS
+  // checks (membership tests and chase triggers) over the guarded soak
+  // scenarios, summed, are pinned to the values the search that kept its
+  // bindings in a Substitution produced.
+  HomCounters total;
+  for (const Pinned& p : kGuardedSeed11) {
+    SCOPED_TRACE("scenario " + std::to_string(p.index));
+    Scenario scenario = MakeScenario(SpecForIndex(11, p.index));
+    Schema schema = InferProgramDataSchema(scenario.program);
+    Omq q1 = SingleQueryNamed(scenario.program, schema, kLhsQuery).value();
+    Omq q2 = SingleQueryNamed(scenario.program, schema, kRhsQuery).value();
+    ContainmentOptions options;
+    options.rewrite = SoakBudgets();
+    auto result = CheckContainment(q1, q2, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    total.Merge(result->stats.hom);
+  }
+  EXPECT_EQ(total.searches, 22036u);
+  EXPECT_EQ(total.steps, 32052u);
+  EXPECT_EQ(total.candidates_scanned, 20271u);
+  EXPECT_EQ(total.postings_intersections, 1229u);
+  EXPECT_EQ(total.candidates_pruned_by_intersection, 0u);
+  EXPECT_EQ(total.budget_exhaustions, 0u);
 }
 
 TEST(SubsumptionScanTest, PrefilterSkipsMostSearchesOnScenario8) {
