@@ -15,16 +15,16 @@
 //                            `contain`
 //   --stats-json             print EngineStats as one JSON document (same
 //                            serializer as the server STATS endpoint)
-//   --cache=on|off           compilation cache (UCQ rewritings, complete
-//                            chases) for `eval` and `contain` (default: on)
-//   --cache-capacity=N       total cache entries across shards
-//                            (default: 1024)
-//   --cache-dir=PATH         persistent artifact store: warm-start the
-//                            cache from PATH (created if absent) and
-//                            flush new artifacts back on exit, so a
-//                            second process re-running a command serves
-//                            compilations from disk instead of redoing
-//                            them. Verdicts are byte-identical either way.
+//   --cache-dir=PATH         compilation cache (UCQ rewritings, complete
+//                            chases) for `eval` and `contain`, backed by
+//                            the persistent artifact store at PATH
+//                            (created if absent): the cache warm-starts
+//                            from PATH and flushes new artifacts back on
+//                            exit, so a second process re-running a
+//                            command serves compilations from disk
+//                            instead of redoing them. Without it no cache
+//                            is built. Verdicts are byte-identical either
+//                            way.
 //   --deadline-ms=N          wall-clock deadline for `eval` / `contain`
 //                            (0 = none, default). A tripped deadline
 //                            reports the partial result and exits 3.

@@ -16,8 +16,6 @@
 //   --port-file=PATH       write the bound port to PATH (for scripts
 //                          racing daemon startup)
 //   --tenant-memory-mb=N   per-tenant memory quota (default 0 = none)
-//   --tenant-deadline-ms=N per-tenant default request deadline
-//                          (default 0 = none)
 //   --tenant-max-concurrent=N  per-tenant concurrent-request cap; excess
 //                          requests queue FIFO instead of tripping
 //                          (default 0 = unlimited)
@@ -25,13 +23,13 @@
 // The worker pool has one thread per hardware thread; each request runs
 // serially on one worker.
 //
-// Shared engine flags (src/core/frontend.h): --cache-capacity /
-// --cache=on|off shape the shared compilation cache, --cache-dir=PATH
-// warm-starts the cache from a persistent artifact store at boot and
-// flushes new compilations back on drain (an unusable directory degrades
-// to memory-only), --deadline-ms / --max-memory-mb set the server-wide
-// request default deadline and total memory budget. --stats-json prints
-// the final metrics document on shutdown.
+// Shared engine flags (src/core/frontend.h): the server always shares one
+// in-memory compilation cache across requests; --cache-dir=PATH
+// warm-starts it from a persistent artifact store at boot and flushes new
+// compilations back on drain (an unusable directory degrades to
+// memory-only). --deadline-ms sets the deadline of requests that carry
+// none, and --max-memory-mb the server-wide memory budget. --stats-json
+// prints the final metrics document on shutdown.
 //
 // The daemon runs until a kShutdown request or SIGINT/SIGTERM, then
 // drains: running requests finish, requests still waiting on a tenant
@@ -74,7 +72,6 @@ int main(int argc, char** argv) {
   EngineFlags flags;
   uint64_t port = 0;
   uint64_t tenant_memory_mb = 0;
-  uint64_t tenant_deadline_ms = 0;
   uint64_t tenant_max_concurrent = 0;
   std::string address = "127.0.0.1";
   std::string port_file;
@@ -90,8 +87,6 @@ int main(int argc, char** argv) {
     bool ok = true;
     if (ParseLocalFlag(arg, "--port", &port, &ok) ||
         ParseLocalFlag(arg, "--tenant-memory-mb", &tenant_memory_mb, &ok) ||
-        ParseLocalFlag(arg, "--tenant-deadline-ms", &tenant_deadline_ms,
-                       &ok) ||
         ParseLocalFlag(arg, "--tenant-max-concurrent",
                        &tenant_max_concurrent, &ok)) {
       if (!ok) return 2;
@@ -107,7 +102,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr,
                  "unknown flag '%s'\nusage: %s [--port=N] [--address=A] "
-                 "[--port-file=PATH] [--tenant-memory-mb=N] [--tenant-deadline-ms=N] "
+                 "[--port-file=PATH] [--tenant-memory-mb=N] "
                  "[--tenant-max-concurrent=N] %s\n",
                  arg.c_str(), argv[0], EngineFlagsUsage());
     return 2;
@@ -120,13 +115,11 @@ int main(int argc, char** argv) {
 
   ServerConfig config;
   config.listen_address = address;
-  config.cache_capacity = flags.cache ? flags.cache_capacity : 0;
-  config.cache_dir = flags.cache ? flags.cache_dir : "";
+  config.cache_dir = flags.cache_dir;
   config.default_deadline_ms = flags.deadline_ms;
   config.server_memory_budget_bytes = flags.max_memory_mb << 20;
   config.tenant_quota.memory_quota_bytes =
       static_cast<size_t>(tenant_memory_mb) << 20;
-  config.tenant_quota.default_deadline_ms = tenant_deadline_ms;
   config.tenant_quota.max_concurrent = tenant_max_concurrent;
 
   OmqServer server(std::move(config));

@@ -1,28 +1,29 @@
-// Isomorphism-invariant canonical forms and 128-bit structural
-// fingerprints for CQs, tgds, tgd sets and OMQs — the keying layer of the
-// compilation cache (src/cache/omq_cache.h).
+// 128-bit structural fingerprints for CQs, tgds, tgd sets, schemas, OMQs
+// and databases — the keying layer of the compilation cache
+// (src/cache/omq_cache.h).
 //
-// Two queries that are equal up to bijective variable renaming (the ≃ of
-// Algorithm 1, decided by IsomorphicCQs) receive the *same* canonical form
-// and hence the same fingerprint; distinct structures collide only with
-// the probability of a 128-bit hash collision. The canonizer runs iterated
-// color refinement (1-WL on the query hypergraph: variables are vertices,
-// atoms are labeled hyperedges) followed by individualization with
-// backtracking for symmetric queries — the classic graph-canonization
-// recipe restricted to query hypergraphs. Refinement alone cannot separate
-// e.g. a 6-cycle from two 3-cycles; the backtracking tie-break can.
+// A CQ or tgd is keyed on its first-occurrence structure: its variables
+// are numbered in the order they first occur, and its atoms are hashed in
+// the order written. Two queries that differ only by a consistent
+// variable renaming therefore share a key, and equal keys imply
+// ≃-equivalence (the ≃ of Algorithm 1, decided by IsomorphicCQs) up to a
+// 128-bit hash collision. The converse does not hold: reordering body
+// atoms or duplicating one gives a new key, so such a query is compiled
+// again rather than served from the cache. A tgd set is keyed as a set,
+// so reordering the tgds keeps its key. XRewrite's in-run ≃-dedup, which
+// must catch every reordering, buckets its queries by DedupBucketKey
+// (rewrite/xrewrite.h) and decides by IsomorphicCQs instead, so
+// omqc_rewrite does not link this library.
 //
 // Fingerprints hash predicate and constant *names*, never interned ids, so
-// they are stable across processes and interning orders. That stability
-// is what the cache keys need; XRewrite's in-run ≃-dedup does not, and
-// buckets its queries by the cheaper DedupBucketKey (rewrite/xrewrite.h)
-// instead, so omqc_rewrite does not link this library.
+// they are stable across processes and interning orders, as the
+// persistent store (cache/persist.h) needs.
 
 #ifndef OMQC_CACHE_CANONICAL_H_
 #define OMQC_CACHE_CANONICAL_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "logic/cq.h"
 #include "logic/instance.h"
@@ -43,9 +44,6 @@ struct Fingerprint {
     if (hi != other.hi) return hi < other.hi;
     return lo < other.lo;
   }
-
-  /// 32 lowercase hex digits.
-  std::string ToHex() const;
 };
 
 struct FingerprintHash {
@@ -54,28 +52,12 @@ struct FingerprintHash {
   }
 };
 
-/// The canonical representative of a CQ's ≃-class: variables renumbered
-/// x0, x1, ... in canonical order, body atoms sorted and deduplicated.
-/// Canonicalization is idempotent: CanonicalizeCQ(c.query).query == c.query.
-struct CanonicalCQ {
-  ConjunctiveQuery query;
-  Fingerprint fingerprint;
-};
-
-/// Canonicalizes a CQ. Isomorphic inputs (IsomorphicCQs) yield identical
-/// results; the canonical query is ≃-equivalent to the input.
-CanonicalCQ CanonicalizeCQ(const ConjunctiveQuery& q);
-
-/// Fingerprint without materializing the canonical query.
+/// Fingerprint of a CQ: its answer terms, then its body atoms in order,
+/// under first-occurrence variable numbering.
 Fingerprint FingerprintCQ(const ConjunctiveQuery& q);
 
-/// Order-insensitive fingerprint of a UCQ: the sorted multiset of its
-/// disjuncts' fingerprints.
-Fingerprint FingerprintUCQ(const UnionOfCQs& ucq);
-
-/// Fingerprint of one tgd, invariant under variable renaming (body and
-/// head share one variable scope; body/head membership is part of the
-/// structure).
+/// Fingerprint of one tgd: its body atoms, then its head atoms, in order
+/// and under one first-occurrence variable numbering.
 Fingerprint FingerprintTgd(const Tgd& tgd);
 
 /// Order-insensitive fingerprint of a tgd set: the sorted multiset of its
@@ -91,11 +73,6 @@ Fingerprint FingerprintSchema(const Schema& schema);
 /// below src/core.
 Fingerprint FingerprintOmqParts(const Schema& data_schema, const TgdSet& tgds,
                                 const ConjunctiveQuery& q);
-
-/// Like FingerprintOmqParts with a UCQ query (order-insensitive in the
-/// disjuncts).
-Fingerprint FingerprintUcqOmqParts(const Schema& data_schema,
-                                   const TgdSet& tgds, const UnionOfCQs& ucq);
 
 /// Order-insensitive fingerprint of a null-free database: the sorted
 /// multiset of per-fact hashes over predicate and constant *names*. Keys

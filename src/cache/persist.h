@@ -53,14 +53,16 @@ namespace omqc {
 uint64_t Xxh64(const void* data, size_t size, uint64_t seed = 0);
 
 /// On-disk format version of segments and the manifest. Bump on layout
-/// changes; kArtifactPayloadVersion (cache/serialize.h) separately versions
-/// the payloads inside records.
-constexpr uint32_t kSegmentFormatVersion = 3;
+/// changes and on key changes: a store keyed by another fingerprint
+/// function holds records no lookup can reach, so it must open cold.
+/// kArtifactPayloadVersion (cache/serialize.h) separately versions the
+/// payloads inside records. Version 4 keys CQs and tgds on their
+/// first-occurrence structure (cache/canonical.h).
+constexpr uint32_t kSegmentFormatVersion = 4;
 
 /// Build epoch stamped into segments and the manifest: artifacts encode by
 /// name and carry their own payload version, so the epoch only changes
-/// when cross-build reuse must be severed wholesale (e.g. a fingerprint
-/// function change, which silently re-keys everything).
+/// when cross-build reuse must be severed wholesale.
 constexpr uint64_t kBuildEpoch = 1;
 
 struct PersistentStoreStats {

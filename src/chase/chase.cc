@@ -57,11 +57,6 @@ constexpr size_t kTriggerCheckStride = 16;
 
 }  // namespace
 
-int ChaseResult::LevelOf(const Atom& atom) const {
-  std::optional<AtomId> id = instance.FindId(atom);
-  return id.has_value() ? level_of[*id] : -1;
-}
-
 const ChaseResult::Provenance* ChaseResult::ProvenanceOf(
     const Atom& atom) const {
   std::optional<AtomId> id = instance.FindId(atom);

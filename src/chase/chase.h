@@ -101,9 +101,6 @@ struct ChaseResult {
   /// (a column parallel to the arena: ids are dense and assigned in
   /// insertion order, so level_of[id] is the level of instance.view(id)).
   std::vector<int> level_of;
-  /// Level lookup by materialized atom (cold paths / tests); -1 if the
-  /// atom is not in the instance.
-  int LevelOf(const Atom& atom) const;
   /// Why an atom exists (only filled with track_provenance): the index of
   /// the tgd that produced it and the ids of the images of the tgd's body
   /// atoms (premises are always atoms of `instance`). Keyed by AtomId;

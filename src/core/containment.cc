@@ -162,7 +162,7 @@ Status CheckCompatible(const Omq& q1, const Omq& q2) {
 }
 
 /// Propagates the containment-level cache into the RHS evaluation options
-/// (and vice versa) so one `--cache` switch covers every layer; an
+/// (and vice versa) so one cache pointer covers every layer; an
 /// explicitly set eval cache wins. The governor propagates the same way:
 /// one governor set at either level bounds the whole request, and the
 /// containment-level one wins.

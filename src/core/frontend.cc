@@ -9,8 +9,8 @@
 namespace omqc {
 
 const char* EngineFlagsUsage() {
-  return "[--stats] [--stats-json] [--cache=on|off] [--cache-capacity=N] "
-         "[--cache-dir=PATH] [--deadline-ms=N] [--max-memory-mb=N]";
+  return "[--stats] [--stats-json] [--cache-dir=PATH] [--deadline-ms=N] "
+         "[--max-memory-mb=N]";
 }
 
 Result<uint64_t> ParseUnsignedFlagValue(const std::string& flag,
@@ -59,29 +59,6 @@ Result<bool> ParseEngineFlag(const std::string& arg, EngineFlags* flags) {
     flags->stats_json = true;
     return true;
   }
-  if (arg.rfind("--cache=", 0) == 0) {
-    std::string mode = arg.substr(8);
-    if (mode == "on") {
-      flags->cache = true;
-    } else if (mode == "off") {
-      flags->cache = false;
-    } else {
-      return Status::InvalidArgument("--cache expects 'on' or 'off'");
-    }
-    return true;
-  }
-  {
-    auto r = ConsumeUnsigned(arg, "--cache-capacity", &value);
-    if (!r.ok()) return r.status();
-    if (*r) {
-      if (value == 0) {
-        return Status::InvalidArgument(
-            "--cache-capacity expects a positive integer");
-      }
-      flags->cache_capacity = static_cast<size_t>(value);
-      return true;
-    }
-  }
   if (arg.rfind("--cache-dir=", 0) == 0) {
     std::string dir = arg.substr(12);
     if (dir.empty()) {
@@ -111,11 +88,8 @@ Result<bool> ParseEngineFlag(const std::string& arg, EngineFlags* flags) {
 
 Result<std::unique_ptr<OmqCache>> MakeCacheFromFlags(
     const EngineFlags& flags) {
-  if (!flags.cache) return std::unique_ptr<OmqCache>();
-  OmqCacheConfig config;
-  config.capacity = flags.cache_capacity;
-  if (flags.cache_dir.empty()) return std::make_unique<OmqCache>(config);
-  return OmqCache::Open(config, flags.cache_dir);
+  if (flags.cache_dir.empty()) return std::unique_ptr<OmqCache>();
+  return OmqCache::Open(OmqCacheConfig(), flags.cache_dir);
 }
 
 void ApplyGovernorFlags(const EngineFlags& flags,

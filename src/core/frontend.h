@@ -2,8 +2,9 @@
 // omqc_load): engine flag parsing, program loading, and verdict
 // formatting.
 //
-// The three binaries accept the same --cache=/--deadline-ms=/... engine
-// flags; parsing lives here once so they cannot drift. Numeric flag values
+// omqc_cli and omqc_server accept the same --cache-dir=/--deadline-ms=/...
+// engine flags; parsing lives here once so they cannot drift (omqc_load
+// has flags of its own). Numeric flag values
 // are parsed *strictly* — "--deadline-ms=12x" or "--deadline-ms=" is a
 // usage error, not a silent 12 or 0 (omqc_cli historically accepted both
 // via strtoul).
@@ -34,11 +35,9 @@ namespace omqc {
 struct EngineFlags {
   bool stats = false;      ///< --stats (human-readable EngineStats)
   bool stats_json = false; ///< --stats-json (machine-readable EngineStats)
-  bool cache = true;             ///< --cache=on|off
-  size_t cache_capacity = 1024;  ///< --cache-capacity=N (> 0)
-  std::string cache_dir;         ///< --cache-dir=PATH ("" = memory only)
-  uint64_t deadline_ms = 0;      ///< --deadline-ms=N (0 = none)
-  size_t max_memory_mb = 0;      ///< --max-memory-mb=N (0 = none)
+  std::string cache_dir;     ///< --cache-dir=PATH ("" = none)
+  uint64_t deadline_ms = 0;  ///< --deadline-ms=N (0 = none)
+  size_t max_memory_mb = 0;  ///< --max-memory-mb=N (0 = none)
 };
 
 /// One-line usage text for the shared engine flags (appended to each
@@ -57,11 +56,13 @@ Result<uint64_t> ParseUnsignedFlagValue(const std::string& flag,
 /// flag with a malformed value.
 Result<bool> ParseEngineFlag(const std::string& arg, EngineFlags* flags);
 
-/// The process-wide compilation cache the flags ask for: null when
-/// --cache=off, a memory-only OmqCache by default, or one warm-started
-/// from --cache-dir (created if absent). Fails only when the cache
-/// directory cannot be created — bad segment contents degrade to a cold
-/// cache, never to an error.
+/// The compilation cache of a one-shot process: one warm-started from
+/// --cache-dir (created if absent), or null without it. A memory-only
+/// cache would die with the process, and inside one request the LHS
+/// enumeration and the RHS rewriting carry different option digests, so
+/// it could not hit. Fails only when the cache directory cannot be
+/// created — bad segment contents degrade to a cold cache, never to an
+/// error.
 Result<std::unique_ptr<OmqCache>> MakeCacheFromFlags(
     const EngineFlags& flags);
 

@@ -194,19 +194,18 @@ class Search {
                       : HomSearchOutcome::kNotFound;
   }
 
-  /// The pinned enumeration: atoms[pinned_index] matches only
-  /// `view_at(0..count)`, the other atoms search the target. See
-  /// ForEachHomomorphismPinned for `kHomogeneous`.
-  template <bool kHomogeneous, typename ViewAt>
-  void RunPinned(size_t pinned_index, size_t count, ViewAt view_at) {
-    const Predicate pinned = atoms_[pinned_index].predicate;
+  /// The pinned enumeration: atoms[pinned_index] matches only the
+  /// `count` ids at `ids`, the other atoms search the target. Every id
+  /// carries the pinned atom's predicate (see ForEachHomomorphismPinned).
+  void RunPinned(size_t pinned_index, const AtomId* ids, size_t count) {
     ws_.remaining.clear();
     for (size_t i = 0; i < atoms_.size(); ++i) {
       if (i != pinned_index) ws_.remaining.push_back(i);
     }
     for (size_t c = 0; c < count; ++c) {
-      AtomView candidate = view_at(c);
-      if (!kHomogeneous && candidate.predicate() != pinned) continue;
+      if (c + kScanPrefetchDistance < count) {
+        target_.PrefetchTerms(ids[c + kScanPrefetchDistance]);
+      }
       ++candidates_scanned_;
       if (governor_ != nullptr &&
           candidates_scanned_ % kGovernorStride == 0 &&
@@ -215,7 +214,7 @@ class Search {
         break;
       }
       const size_t trail_mark = ws_.trail.size();
-      if (TryMatch(pinned_index, candidate)) Extend();
+      if (TryMatch(pinned_index, target_.view(ids[c]))) Extend();
       Undo(trail_mark);
       if (stop_ || exhausted_) break;
     }
@@ -501,63 +500,16 @@ void ForEachHomomorphism(const std::vector<Atom>& atoms,
   search.Run(/*max_steps=*/0, options.excluded_atom);
 }
 
-namespace {
-
-/// Shared body of the pinned enumeration: `view_at(i)` yields the i-th
-/// pinned candidate as an AtomView (out of `count`), whatever the caller's
-/// candidate representation — arena ids or materialized atoms.
-/// `kHomogeneous` asserts every candidate already carries the pinned
-/// atom's predicate (true for postings-backed id ranges), letting the
-/// scan drop the per-candidate predicate filter.
-template <bool kHomogeneous, typename ViewAt>
-void PinnedImpl(const std::vector<Atom>& atoms, size_t pinned_index,
-                size_t count, ViewAt view_at, const Instance& target,
-                const Substitution& seed, const Visitor& visitor,
-                const HomomorphismOptions& options) {
-  Lease lease;
-  Search search(atoms, target, options, lease.workspace());
-  search.BindSeed(seed);
-  search.SetLeaf(&visitor, nullptr);
-  search.RunPinned<kHomogeneous>(pinned_index, count, view_at);
-}
-
-}  // namespace
-
-void ForEachHomomorphismPinned(
-    const std::vector<Atom>& atoms, size_t pinned_index,
-    const std::vector<Atom>& pinned_candidates, const Instance& target,
-    const Substitution& seed, const Visitor& visitor,
-    const HomomorphismOptions& options) {
-  PinnedImpl</*kHomogeneous=*/false>(
-      atoms, pinned_index, pinned_candidates.size(),
-      [&](size_t c) { return ViewOf(pinned_candidates[c]); }, target, seed,
-      visitor, options);
-}
-
-void ForEachHomomorphismPinned(
-    const std::vector<Atom>& atoms, size_t pinned_index,
-    const std::vector<AtomId>& pinned_ids, const Instance& target,
-    const Substitution& seed, const Visitor& visitor,
-    const HomomorphismOptions& options) {
-  ForEachHomomorphismPinned(atoms, pinned_index, pinned_ids.data(),
-                            pinned_ids.size(), target, seed, visitor,
-                            options);
-}
-
 void ForEachHomomorphismPinned(
     const std::vector<Atom>& atoms, size_t pinned_index,
     const AtomId* pinned_ids, size_t pinned_count, const Instance& target,
     const Substitution& seed, const Visitor& visitor,
     const HomomorphismOptions& options) {
-  PinnedImpl</*kHomogeneous=*/true>(
-      atoms, pinned_index, pinned_count,
-      [&](size_t c) {
-        if (c + kScanPrefetchDistance < pinned_count) {
-          target.PrefetchTerms(pinned_ids[c + kScanPrefetchDistance]);
-        }
-        return target.view(pinned_ids[c]);
-      },
-      target, seed, visitor, options);
+  Lease lease;
+  Search search(atoms, target, options, lease.workspace());
+  search.BindSeed(seed);
+  search.SetLeaf(&visitor, nullptr);
+  search.RunPinned(pinned_index, pinned_ids, pinned_count);
 }
 
 std::vector<std::vector<Term>> EvaluateCQ(const ConjunctiveQuery& q,

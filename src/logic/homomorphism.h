@@ -90,9 +90,9 @@ struct HomomorphismOptions {
   /// An atom of the target that no atom may map onto, or none. Searching
   /// with it set searches the target minus that atom without building a
   /// second instance (MinimizeCQ tests every atom of a query against one
-  /// frozen database this way). Honored by every entry point except the
-  /// ForEachHomomorphismPinned family, whose pinned candidates are the
-  /// caller's to choose.
+  /// frozen database this way). Honored by every entry point except
+  /// ForEachHomomorphismPinned, whose pinned candidates are the caller's
+  /// to choose.
   std::optional<AtomId> excluded_atom;
 };
 
@@ -132,40 +132,19 @@ void ForEachHomomorphism(
     const HomomorphismOptions& options = HomomorphismOptions());
 
 /// Like ForEachHomomorphism, but the designated atom `atoms[pinned_index]`
-/// draws its candidate matches from `pinned_candidates` instead of the
-/// target's index, while every other atom still matches inside `target`.
-/// This is the delta-decomposition primitive of the semi-naive chase: with
-/// `pinned_candidates` the atoms derived in the previous round, only
-/// homomorphisms whose designated atom uses a new atom are enumerated.
-/// Candidates with a different predicate are skipped; a homomorphism
-/// matched by several pinned positions is reported once per position
-/// (callers dedupe, e.g. by trigger key).
-void ForEachHomomorphismPinned(
-    const std::vector<Atom>& atoms, size_t pinned_index,
-    const std::vector<Atom>& pinned_candidates, const Instance& target,
-    const Substitution& seed,
-    const std::function<bool(const Substitution&)>& visitor,
-    const HomomorphismOptions& options = HomomorphismOptions());
-
-/// Id-based overload: the pinned candidates are atom ids into `target`'s
-/// arena, bound in place with zero materialization. Every id must refer
-/// to an atom with the pinned atom's predicate (postings-backed lists
-/// are): the scan skips the per-candidate predicate filter. This is the
-/// variant the semi-naive chase uses — its delta is a contiguous id range
-/// of the growing chase instance.
-void ForEachHomomorphismPinned(
-    const std::vector<Atom>& atoms, size_t pinned_index,
-    const std::vector<AtomId>& pinned_ids, const Instance& target,
-    const Substitution& seed,
-    const std::function<bool(const Substitution&)>& visitor,
-    const HomomorphismOptions& options = HomomorphismOptions());
-
-/// Raw-range variant of the id-based pinned enumeration: `pinned_ids`
-/// points at `pinned_count` sorted arena ids of `target`, all carrying
-/// the pinned atom's predicate (no per-candidate predicate filter). The
-/// chase hands in subranges of the per-predicate or by-arg postings
-/// directly (its delta window is a contiguous id range — see
-/// PostingsIdRange / Instance::ArgIdRange), with no copy.
+/// draws its candidate matches from the `pinned_count` arena ids of
+/// `target` at `pinned_ids` instead of the target's index, while every
+/// other atom still matches inside `target`. This is the
+/// delta-decomposition primitive of the semi-naive chase: with the ids of
+/// the atoms derived in the previous round, only homomorphisms whose
+/// designated atom uses a new atom are enumerated. The chase hands in
+/// subranges of the per-predicate or by-arg postings directly (its delta
+/// window is a contiguous id range — see PostingsIdRange /
+/// Instance::ArgIdRange), with no copy. Every id must carry the pinned
+/// atom's predicate (postings-backed ranges do): the scan has no
+/// per-candidate predicate filter. A homomorphism matched by several
+/// pinned positions is reported once per position (callers dedupe, e.g.
+/// by trigger key).
 void ForEachHomomorphismPinned(
     const std::vector<Atom>& atoms, size_t pinned_index,
     const AtomId* pinned_ids, size_t pinned_count, const Instance& target,

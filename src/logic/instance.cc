@@ -113,31 +113,6 @@ std::optional<AtomId> Instance::FindId(AtomView v) const {
   return ProbeHashed(v, v.hash());
 }
 
-void Instance::AddAll(const Instance& other) {
-  if (&other == this) return;
-  // Same software pipeline as AddBatch: hash ahead, prefetch the slot
-  // lines, probe behind. (Each insert may rehash or reallocate, so the
-  // prefetches are hints against the CURRENT table — stale hints after a
-  // rehash are harmless and rehashes are O(log n) many.)
-  size_t hashes[kProbePipeline];
-  const size_t n = other.records_.size();
-  const size_t lead = std::min(n, kProbePipeline);
-  for (size_t i = 0; i < lead; ++i) {
-    hashes[i] = other.view(static_cast<AtomId>(i)).hash();
-    PrefetchSlot(hashes[i]);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (i + kProbePipeline < n) {
-      const size_t h =
-          other.view(static_cast<AtomId>(i + kProbePipeline)).hash();
-      hashes[(i + kProbePipeline) % kProbePipeline] = h;
-      PrefetchSlot(h);
-    }
-    AddViewHashed(other.view(static_cast<AtomId>(i)),
-                  hashes[i % kProbePipeline]);
-  }
-}
-
 size_t Instance::AddBatch(const std::vector<Atom>& atoms) {
   size_t hashes[kProbePipeline];
   const size_t n = atoms.size();

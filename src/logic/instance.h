@@ -118,8 +118,6 @@ class Instance {
 
   /// Inserts `atom`; returns true iff it was not already present.
   bool Add(const Atom& atom) { return AddView(ViewOf(atom)).inserted; }
-  /// Inserts all atoms of `other`.
-  void AddAll(const Instance& other);
 
   /// Bulk insert with batched dedup probes: hashes are computed a few
   /// atoms ahead and the dedup slots prefetched before they are probed, so

@@ -54,25 +54,19 @@ OmqServer::OmqServer(ServerConfig config)
   if (config_.server_memory_budget_bytes > 0) {
     governor_.set_memory_budget(config_.server_memory_budget_bytes);
   }
-  if (config_.cache_capacity > 0) {
-    OmqCacheConfig cache_config;
-    cache_config.capacity = config_.cache_capacity;
-    if (!config_.cache_dir.empty()) {
-      auto store = OmqCache::Open(cache_config, config_.cache_dir);
-      if (store.ok()) {
-        cache_ = std::move(store).value();
-      } else {
-        // Persistence is an accelerator, not a dependency: come up
-        // memory-only rather than refuse to serve.
-        std::fprintf(stderr, "omqc_server: --cache-dir unusable (%s); "
-                             "running memory-only\n",
-                     store.status().ToString().c_str());
-        cache_ = std::make_unique<OmqCache>(cache_config);
-      }
+  if (!config_.cache_dir.empty()) {
+    auto store = OmqCache::Open(OmqCacheConfig(), config_.cache_dir);
+    if (store.ok()) {
+      cache_ = std::move(store).value();
     } else {
-      cache_ = std::make_unique<OmqCache>(cache_config);
+      // Persistence is an accelerator, not a dependency: come up
+      // memory-only rather than refuse to serve.
+      std::fprintf(stderr, "omqc_server: --cache-dir unusable (%s); "
+                           "running memory-only\n",
+                   store.status().ToString().c_str());
     }
   }
+  if (cache_ == nullptr) cache_ = std::make_unique<OmqCache>();
 }
 
 OmqServer::~OmqServer() { Shutdown(); }
@@ -280,7 +274,6 @@ void OmqServer::Execute(const std::shared_ptr<PendingRequest>& pending) {
   ResourceGovernor req_gov(pending->lease.governor.get());
   uint64_t deadline_ms = request.deadline_ms;
   if (deadline_ms == 0) deadline_ms = config_.default_deadline_ms;
-  if (deadline_ms == 0) deadline_ms = tenants_.quota().default_deadline_ms;
   if (deadline_ms > 0) {
     req_gov.set_deadline_after(std::chrono::milliseconds(deadline_ms));
   }
@@ -452,7 +445,7 @@ void OmqServer::Shutdown() {
   drain_queued();
   // 5. Every response is out; seal what this run compiled into the
   //    persistent store (no-op for the memory-only cache).
-  if (cache_ != nullptr) cache_->Flush();
+  cache_->Flush();
 }
 
 ServerCounters OmqServer::counters() const {
@@ -480,9 +473,7 @@ std::string OmqServer::StatsJson() const {
     w.EndObject();
   }
 
-  if (cache_ != nullptr) {
-    AppendOmqCacheStatsJson(w, "cache", cache_->Stats());
-  }
+  AppendOmqCacheStatsJson(w, "cache", cache_->Stats());
   AppendGovernorCountersJson(w, "governor", governor_.counters());
   w.Field("governor_charged_bytes",
           static_cast<uint64_t>(governor_.local_charged_bytes()));

@@ -51,15 +51,13 @@ struct ServerConfig {
   std::string listen_address = "127.0.0.1";
   /// Worker pool size (0 = hardware concurrency).
   size_t worker_threads = 0;
-  /// Shared compilation cache (0 capacity = caching off).
-  size_t cache_capacity = 1024;
-  /// Persistent artifact store directory ("" = memory only). The server
-  /// warm-starts the cache from it at boot and flushes new artifacts to
-  /// it on drain; an unopenable directory degrades to memory-only with a
-  /// warning on stderr (the server still comes up).
+  /// Persistent artifact store directory behind the shared compilation
+  /// cache ("" = memory only). The server warm-starts the cache from it
+  /// at boot and flushes new artifacts to it on drain; an unopenable
+  /// directory degrades to memory-only with a warning on stderr (the
+  /// server still comes up).
   std::string cache_dir;
-  /// Deadline for requests that carry none (0 = tenant default, then
-  /// unlimited).
+  /// Deadline for requests that carry none (0 = unlimited).
   uint64_t default_deadline_ms = 0;
   /// Server-wide memory budget across all tenants (0 = none).
   size_t server_memory_budget_bytes = 0;

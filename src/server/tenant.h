@@ -45,8 +45,6 @@ namespace omqc {
 struct TenantQuota {
   /// Cap on a tenant's in-flight governed bytes (0 = none).
   size_t memory_quota_bytes = 0;
-  /// Deadline applied to requests that carry none (0 = none).
-  uint64_t default_deadline_ms = 0;
   /// Cap on a tenant's concurrently executing requests (0 = unlimited).
   /// Excess requests *queue* (FIFO per tenant) rather than trip: they are
   /// handed back by Complete() as capacity frees up.
@@ -84,8 +82,6 @@ class TenantRegistry {
 
   TenantRegistry(const TenantRegistry&) = delete;
   TenantRegistry& operator=(const TenantRegistry&) = delete;
-
-  const TenantQuota& quota() const { return quota_; }
 
   /// Outcome of AdmitOrQueue: either a live lease, or `queued` — the
   /// payload was parked under the concurrency quota and will come back

@@ -171,24 +171,6 @@ TileKind SignatureKind(TgdClass klass, int w) {
 
 }  // namespace
 
-const char* TileKindToString(TileKind kind) {
-  switch (kind) {
-    case TileKind::kCopy:
-      return "copy";
-    case TileKind::kRotate:
-      return "rotate";
-    case TileKind::kExists:
-      return "exists";
-    case TileKind::kJoin:
-      return "join";
-    case TileKind::kForkMerge:
-      return "forkmerge";
-    case TileKind::kWalk:
-      return "walk";
-  }
-  return "?";
-}
-
 std::string ScenarioSpec::ToString() const {
   return StrCat("seed=", seed, " class=", TgdClassToString(tgd_class),
                 " len=", length, " w=", width, " depth=", walk_depth,

@@ -59,8 +59,6 @@ enum class TileKind {
                ///< chain of length `walk_depth`, re-expand (guarded only)
 };
 
-const char* TileKindToString(TileKind kind);
-
 /// Knobs for one scenario. SpecForIndex derives these from (seed, index);
 /// tests construct them directly for targeted shapes.
 struct ScenarioSpec {

@@ -472,8 +472,4 @@ bool IsUcqRewritableClass(TgdClass c) {
   }
 }
 
-bool IsEvaluationDecidable(TgdClass c) {
-  return c != TgdClass::kGeneral;
-}
-
 }  // namespace omqc

@@ -125,11 +125,6 @@ TgdProfile GetTgdProfile(const TgdSet& tgds);
 /// True iff the OMQ language (C, CQ) is UCQ-rewritable (Sec. 4): L, NR, S.
 bool IsUcqRewritableClass(TgdClass c);
 
-/// True iff Eval(C, CQ) is decidable in this library: everything except
-/// kGeneral and kFull-with-recursion... all classes here are decidable for
-/// evaluation; kGeneral is not.
-bool IsEvaluationDecidable(TgdClass c);
-
 }  // namespace omqc
 
 #endif  // OMQC_TGD_CLASSIFY_H_

@@ -88,11 +88,15 @@ TEST(HomomorphismTest, PinnedAtomDrawsFromSuppliedList) {
   // Pin the R atom to a single candidate: only homomorphisms mapping
   // R(X,Y) onto R(b,c) are enumerated; P(Y) still matches in the full
   // instance.
-  std::vector<Atom> delta = {
-      Atom::Make("R", {Term::Constant("b"), Term::Constant("c")})};
+  const std::vector<AtomId>& r_ids = db.IdsWith(Predicate::Get("R", 2));
+  ASSERT_EQ(r_ids.size(), 3u);
+  ASSERT_EQ(db.FindId(Atom::Make("R", {Term::Constant("b"),
+                                       Term::Constant("c")})),
+            r_ids[1]);
   std::vector<Substitution> found;
-  ForEachHomomorphismPinned(q.body, /*pinned_index=*/0, delta, db,
-                            Substitution(), [&](const Substitution& sub) {
+  ForEachHomomorphismPinned(q.body, /*pinned_index=*/0, r_ids.data() + 1,
+                            /*pinned_count=*/1, db, Substitution(),
+                            [&](const Substitution& sub) {
                               found.push_back(sub);
                               return true;
                             });
@@ -101,15 +105,21 @@ TEST(HomomorphismTest, PinnedAtomDrawsFromSuppliedList) {
   EXPECT_EQ(found[0].Apply(Term::Variable("Y")), Term::Constant("c"));
 }
 
-TEST(HomomorphismTest, PinnedAtomSkipsOtherPredicates) {
-  Database db = Db("R(a,b). P(b).");
+TEST(HomomorphismTest, PinnedRangeOfOnePredicateIgnoresTheOthers) {
+  Database db = Db("P(b). R(a,b). P(a).");
   ConjunctiveQuery q = Q("Q(X,Y) :- R(X,Y)");
-  // Candidates with a different predicate are filtered, not mismatched.
-  std::vector<Atom> delta = {Atom::Make("P", {Term::Constant("b")}),
-                             Atom::Make("R", {Term::Constant("a"),
-                                              Term::Constant("b")})};
+  // The range comes from IdsWith, so the P atoms around the R atom in
+  // the arena are never candidates.
+  const std::vector<AtomId>& r_ids = db.IdsWith(Predicate::Get("R", 2));
   int count = 0;
-  ForEachHomomorphismPinned(q.body, 0, delta, db, Substitution(),
+  ForEachHomomorphismPinned(q.body, 0, r_ids.data(), r_ids.size(), db,
+                            Substitution(), [&](const Substitution&) {
+                              ++count;
+                              return true;
+                            });
+  EXPECT_EQ(count, 1);
+  // An empty range enumerates nothing.
+  ForEachHomomorphismPinned(q.body, 0, r_ids.data(), 0, db, Substitution(),
                             [&](const Substitution&) {
                               ++count;
                               return true;
@@ -127,9 +137,10 @@ TEST(HomomorphismTest, PinnedEnumerationMatchesFullEnumerationOnWholeList) {
                         return true;
                       });
   // Pinning atom 0 to ALL R atoms is the identity decomposition.
+  const std::vector<AtomId>& r_ids = db.IdsWith(Predicate::Get("R", 2));
   int pinned = 0;
-  ForEachHomomorphismPinned(q.body, 0, db.IdsWith(Predicate::Get("R", 2)),
-                            db, Substitution(), [&](const Substitution&) {
+  ForEachHomomorphismPinned(q.body, 0, r_ids.data(), r_ids.size(), db,
+                            Substitution(), [&](const Substitution&) {
                               ++pinned;
                               return true;
                             });
