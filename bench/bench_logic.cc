@@ -216,23 +216,6 @@ void BM_InstanceIngestBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_InstanceIngestBatch)->Arg(1 << 14);
 
-/// Batched membership: CountContained over the present/absent probe mix
-/// (the one-at-a-time contrast is BM_InstanceContains).
-void BM_InstanceContainsBatch(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  std::vector<Atom> atoms = MakeWorkload(n, 8, 64);
-  Instance inst = MakeInstance(atoms);
-  std::vector<Atom> absent = MakeWorkload(n, 8, 64);
-  for (Atom& a : absent) a.args[0] = Term::Constant("zz_absent");
-  size_t hits = 0;
-  for (auto _ : state) {
-    hits = inst.CountContained(atoms) + inst.CountContained(absent);
-  }
-  benchmark::DoNotOptimize(hits);
-  state.SetItemsProcessed(static_cast<int64_t>(2 * n) * state.iterations());
-}
-BENCHMARK(BM_InstanceContainsBatch)->Arg(1 << 14);
-
 /// The k-way intersection kernel on synthetic postings with controlled
 /// skew: two sorted lists sharing every `share`-th element, length ratio
 /// `skew` (1 = dense/dense merge, 64 = galloping regime).

@@ -5,9 +5,9 @@
 //
 // Serves the omqc wire protocol (src/server/wire.h): eval / contain /
 // classify requests with per-request deadlines and memory budgets,
-// per-tenant governor and concurrency quotas (src/server/tenant.h) and a
-// STATS metrics endpoint. Each admitted request goes straight to the
-// worker pool (src/server/server.h).
+// per-tenant memory quotas (src/server/tenant.h) and a STATS metrics
+// endpoint. Each admitted request goes straight to the worker pool
+// (src/server/server.h).
 //
 // Daemon flags:
 //   --port=N               listen port (default 0 = kernel-assigned;
@@ -16,9 +16,6 @@
 //   --port-file=PATH       write the bound port to PATH (for scripts
 //                          racing daemon startup)
 //   --tenant-memory-mb=N   per-tenant memory quota (default 0 = none)
-//   --tenant-max-concurrent=N  per-tenant concurrent-request cap; excess
-//                          requests queue FIFO instead of tripping
-//                          (default 0 = unlimited)
 //
 // The worker pool has one thread per hardware thread; each request runs
 // serially on one worker.
@@ -32,8 +29,8 @@
 // prints the final metrics document on shutdown.
 //
 // The daemon runs until a kShutdown request or SIGINT/SIGTERM, then
-// drains: running requests finish, requests still waiting on a tenant
-// quota are answered kCancelled, sessions join, the cache flushes.
+// drains: running requests and those waiting in the worker pool finish,
+// sessions join, the cache flushes.
 
 #include <csignal>
 #include <cstdio>
@@ -72,7 +69,6 @@ int main(int argc, char** argv) {
   EngineFlags flags;
   uint64_t port = 0;
   uint64_t tenant_memory_mb = 0;
-  uint64_t tenant_max_concurrent = 0;
   std::string address = "127.0.0.1";
   std::string port_file;
 
@@ -86,9 +82,7 @@ int main(int argc, char** argv) {
     if (*consumed) continue;
     bool ok = true;
     if (ParseLocalFlag(arg, "--port", &port, &ok) ||
-        ParseLocalFlag(arg, "--tenant-memory-mb", &tenant_memory_mb, &ok) ||
-        ParseLocalFlag(arg, "--tenant-max-concurrent",
-                       &tenant_max_concurrent, &ok)) {
+        ParseLocalFlag(arg, "--tenant-memory-mb", &tenant_memory_mb, &ok)) {
       if (!ok) return 2;
       continue;
     }
@@ -102,8 +96,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr,
                  "unknown flag '%s'\nusage: %s [--port=N] [--address=A] "
-                 "[--port-file=PATH] [--tenant-memory-mb=N] "
-                 "[--tenant-max-concurrent=N] %s\n",
+                 "[--port-file=PATH] [--tenant-memory-mb=N] %s\n",
                  arg.c_str(), argv[0], EngineFlagsUsage());
     return 2;
   }
@@ -120,7 +113,6 @@ int main(int argc, char** argv) {
   config.server_memory_budget_bytes = flags.max_memory_mb << 20;
   config.tenant_quota.memory_quota_bytes =
       static_cast<size_t>(tenant_memory_mb) << 20;
-  config.tenant_quota.max_concurrent = tenant_max_concurrent;
 
   OmqServer server(std::move(config));
   auto bound = server.ListenAndStart(static_cast<uint16_t>(port));

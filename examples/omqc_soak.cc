@@ -149,9 +149,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<OmqServer> server;
   std::unique_ptr<OmqClient> client;
   if (with_server) {
-    ServerConfig config;
-    config.tenant_quota.max_concurrent = 2;  // exercise the queue path
-    server = std::make_unique<OmqServer>(std::move(config));
+    server = std::make_unique<OmqServer>(ServerConfig());
     auto port = server->ListenAndStart(0);
     if (!port.ok()) {
       std::fprintf(stderr, "error: server start: %s\n",

@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
 # Configure, build and run the concurrency-sensitive tests under
 # ThreadSanitizer (-Werror stays on). By default runs the suites that
-# exercise the thread pool, the server's worker pool, governor
-# cancellation propagation and the per-thread homomorphism search
-# workspaces, each until it fails or 20 times in a row (the same flake
-# gate as the tier-1 CI job); pass explicit ctest args to override.
+# exercise the thread pool, the server's dispatch and shutdown paths
+# (session threads handing admitted requests to the worker pool),
+# cross-thread governor cancellation and the per-thread homomorphism
+# search workspaces, each until it fails or 20 times in a row (the same
+# flake gate as the tier-1 CI job); pass explicit ctest args to override.
 # Usage: scripts/tsan.sh [extra ctest args...]
 set -eu
 cd "$(dirname "$0")/.."

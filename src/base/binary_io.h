@@ -101,15 +101,6 @@ class ByteReader {
     return true;
   }
 
-  bool Skip(size_t n) {
-    if (!ok_ || n > remaining()) {
-      ok_ = false;
-      return false;
-    }
-    p_ += n;
-    return true;
-  }
-
  private:
   uint64_t ReadLe(size_t width) {
     if (!ok_ || width > remaining()) {

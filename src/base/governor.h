@@ -25,16 +25,17 @@
 //
 // Parent/child linkage: a child governor shares the parent's limits by
 // consultation (the child's Check also checks the parent) but owns its own
-// token, so an engine can stop its own remaining work (e.g. containment
-// found a refuting disjunct and ends the enumeration) without cancelling
-// the caller's request.
-// Counters always accumulate at the root, so EngineStats reflects the
-// whole request no matter how many internal children were layered on.
+// token, so cancelling a child never cancels its parent or siblings. The
+// server (src/server) chains server → tenant → request governors; the
+// engine runs under whichever governor its caller passed and never adds
+// a level of its own.
+// Counters always accumulate at the root, so EngineStats reflects every
+// check made anywhere in the chain.
 // Byte charges accumulate at *every* level of the chain, and each level's
 // memory budget bounds its own subtree total — this is what lets the
-// server (src/server) layer per-tenant quotas between a request's governor
-// and the server-wide one: a tenant quota trips on the tenant's own
-// in-flight bytes, not on the server-wide total.
+// server layer per-tenant quotas between a request's governor and the
+// server-wide one: a tenant quota trips on the tenant's own in-flight
+// bytes, not on the server-wide total.
 
 #ifndef OMQC_BASE_GOVERNOR_H_
 #define OMQC_BASE_GOVERNOR_H_

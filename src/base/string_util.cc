@@ -9,21 +9,6 @@ std::string JoinStrings(const std::vector<std::string>& parts,
   return JoinMapped(parts, sep, [](const std::string& s) { return s; });
 }
 
-std::vector<std::string> SplitString(std::string_view text, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (true) {
-    size_t pos = text.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(text.substr(start));
-      break;
-    }
-    out.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
 std::string_view StripWhitespace(std::string_view text) {
   size_t begin = 0;
   while (begin < text.size() &&

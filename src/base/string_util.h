@@ -27,9 +27,6 @@ std::string JoinMapped(const Container& items, std::string_view sep, Fn fn) {
   return out;
 }
 
-/// Splits `text` on `sep`, keeping empty pieces.
-std::vector<std::string> SplitString(std::string_view text, char sep);
-
 /// Removes leading and trailing ASCII whitespace.
 std::string_view StripWhitespace(std::string_view text);
 

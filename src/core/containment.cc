@@ -27,19 +27,13 @@ namespace {
 /// The shared engine: enumerate LHS rewriting disjuncts, freeze each, test
 /// the frozen candidate against the prepared RHS on the calling thread. The
 /// first refuting candidate (in enumeration order) is the witness and
-/// stops the enumeration; kContained / kUnknown are decided only after
-/// every check has finished.
+/// stops the enumeration: the callback returns false, and the enumeration
+/// reports no further disjunct. kContained / kUnknown are decided only
+/// after every check has finished.
 ///
-/// Governance: the enumeration runs under a CHILD of options.governor
-/// (also created when the caller passed none, where it simply never
-/// trips). The child shares the caller's deadline/token/budget through the
-/// parent chain, but owns its own token: a refutation cancels the child,
-/// which stops the enumeration without cancelling the caller's request,
-/// which may have sibling runs left. The RHS checks run under the
-/// request's governor, which `rhs` was prepared with; none runs after a
-/// refutation. Only a trip of the USER's governor degrades the outcome; a
-/// child-only cancellation is the engine's own early exit and stays
-/// invisible.
+/// Governance: the enumeration and every RHS check run under the request's
+/// governor (options.governor, possibly null), which `rhs` was prepared
+/// with. Only a trip of that governor degrades the outcome.
 Result<ContainmentResult> RunEngine(const Omq& q1,
                                     const ContainmentOptions& options,
                                     const OmqEvaluator& rhs) {
@@ -50,7 +44,6 @@ Result<ContainmentResult> RunEngine(const Omq& q1,
   XRewriteStats lhs_stats;   // written by the enumeration
   CacheCounters lhs_cache;   // cache traffic of the enumeration itself
   EngineStats check_stats;   // merged RHS-check work
-  ResourceGovernor run_governor(options.governor);
 
   // Folds one finished RHS check into the run state.
   auto record = [&](Result<bool> r, FrozenQuery frozen, EngineStats local) {
@@ -70,12 +63,10 @@ Result<ContainmentResult> RunEngine(const Omq& q1,
     refuted = true;
     result.witness = ContainmentWitness{std::move(frozen.database),
                                         std::move(frozen.answer_tuple)};
-    run_governor.Cancel();  // stop the enumeration
   };
 
   std::function<bool(const ConjunctiveQuery&)> on_disjunct =
       [&](const ConjunctiveQuery& p) {
-        if (refuted) return false;
         ++result.candidates_checked;
         result.max_witness_size = std::max(result.max_witness_size, p.size());
         FrozenQuery frozen = Freeze(p);
@@ -86,10 +77,8 @@ Result<ContainmentResult> RunEngine(const Omq& q1,
         return !refuted;
       };
 
-  // The enumeration runs under the child too, so a refutation (or the
-  // user's deadline) also stops LHS rewriting between disjuncts.
   XRewriteOptions lhs_options = options.rewrite;
-  lhs_options.governor = &run_governor;
+  lhs_options.governor = options.governor;
   OMQC_ASSIGN_OR_RETURN(
       RewriteEnumeration outcome,
       CachedEnumerateRewritings(options.cache, q1.data_schema, q1.tgds,
@@ -101,7 +90,9 @@ Result<ContainmentResult> RunEngine(const Omq& q1,
   result.stats.cache.Merge(lhs_cache);
   result.stats.disjuncts_checked += result.candidates_checked;
   // The root's counters cover the enumeration and every RHS check.
-  result.stats.governor.Merge(run_governor.counters());
+  if (options.governor != nullptr) {
+    result.stats.governor.Merge(options.governor->counters());
+  }
 
   // A definite answer is never flipped by a trip: a refutation found
   // before the trip stands, and kContained requires a saturated
@@ -161,16 +152,11 @@ Status CheckCompatible(const Omq& q1, const Omq& q2) {
   return Status::OK();
 }
 
-/// Propagates the containment-level cache into the RHS evaluation options
-/// (and vice versa) so one cache pointer covers every layer; an
-/// explicitly set eval cache wins. The governor propagates the same way:
-/// one governor set at either level bounds the whole request, and the
-/// containment-level one wins.
+/// Copies the containment-level cache and governor into the RHS
+/// evaluation options, so one pointer of each covers every layer.
 ContainmentOptions EffectiveOptions(const ContainmentOptions& options) {
   ContainmentOptions local = options;
-  if (local.eval.cache == nullptr) local.eval.cache = local.cache;
-  if (local.cache == nullptr) local.cache = local.eval.cache;
-  if (local.governor == nullptr) local.governor = local.eval.governor;
+  local.eval.cache = local.cache;
   local.eval.governor = local.governor;
   return local;
 }

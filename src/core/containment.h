@@ -78,21 +78,18 @@ struct ContainmentOptions {
   /// Budgets for evaluating the RHS over candidate witnesses.
   EvalOptions eval;
   /// Optional compilation cache (null = no caching). Consulted for the LHS
-  /// rewriting enumeration and the RHS rewriting; also propagated into
-  /// `eval.cache` when that is null. Shared safely across threads and
-  /// calls; outcomes are identical with and without it (only compilation
-  /// work is reused).
+  /// rewriting enumeration and the RHS rewriting; it overrides
+  /// `eval.cache`. Shared safely across threads and calls; outcomes are
+  /// identical with and without it (only compilation work is reused).
   OmqCache* cache = nullptr;
   /// Optional shared request governor (base/governor.h) bounding the whole
   /// containment request — LHS enumeration, freezing, and every RHS check
-  /// — by wall-clock deadline, cooperative cancellation and memory budget.
-  /// Internally the engine layers a child governor on top (sharing these
-  /// limits but owning its own token) so a refutation can stop the
-  /// enumeration without cancelling the caller's request. A trip degrades
-  /// the outcome to kUnknown with the trip in `detail` — a refutation
-  /// found before the trip still wins (kNotContained), and a definite
-  /// answer is never flipped. Falls back to `eval.governor` when null, and
-  /// is the governor the RHS evaluator runs under. Not owned.
+  /// — by wall-clock deadline, cooperative cancellation and memory budget
+  /// (null = unbounded, no checks). A refutation stops the enumeration
+  /// without touching it. A trip degrades the outcome to kUnknown with the
+  /// trip in `detail` — a refutation found before the trip still wins
+  /// (kNotContained), and a definite answer is never flipped. It overrides
+  /// `eval.governor`. Not owned.
   ResourceGovernor* governor = nullptr;
 
   ContainmentOptions() {

@@ -72,13 +72,6 @@ bool Atom::IsFact() const {
   return true;
 }
 
-bool Atom::NullFree() const {
-  for (const Term& t : args) {
-    if (t.IsNull()) return false;
-  }
-  return true;
-}
-
 std::vector<Term> Atom::Variables() const {
   std::vector<Term> out;
   for (const Term& t : args) {

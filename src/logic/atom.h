@@ -54,8 +54,6 @@ struct Atom {
 
   /// True iff every argument is a constant (i.e. this atom is a fact).
   bool IsFact() const;
-  /// True iff no argument is a null.
-  bool NullFree() const;
 
   /// All variables occurring in the atom, in order of first occurrence.
   std::vector<Term> Variables() const;

@@ -57,22 +57,6 @@ std::set<Term> ConjunctiveQuery::SharedVariables() const {
   return shared;
 }
 
-std::set<Term> ConjunctiveQuery::VariablesInMultipleAtoms() const {
-  std::map<Term, int> atom_count;
-  for (const Atom& a : body) {
-    std::set<Term> vars;
-    for (const Term& t : a.args) {
-      if (t.IsVariable()) vars.insert(t);
-    }
-    for (const Term& t : vars) ++atom_count[t];
-  }
-  std::set<Term> out;
-  for (const auto& [t, count] : atom_count) {
-    if (count >= 2) out.insert(t);
-  }
-  return out;
-}
-
 std::set<Term> ConjunctiveQuery::AllTerms() const {
   std::set<Term> out;
   for (const Atom& a : body) {

@@ -41,9 +41,6 @@ struct ConjunctiveQuery {
   /// multiple occurrences inside one atom).
   std::set<Term> SharedVariables() const;
 
-  /// Variables occurring in >= 2 distinct body atoms: var_{>=2}(q), Sec. 6.
-  std::set<Term> VariablesInMultipleAtoms() const;
-
   /// All terms (constants and variables) occurring in the query: T(q).
   std::set<Term> AllTerms() const;
 

@@ -136,29 +136,6 @@ size_t Instance::AddBatch(const std::vector<Atom>& atoms) {
   return inserted;
 }
 
-size_t Instance::CountContained(const std::vector<Atom>& atoms) const {
-  size_t hashes[kProbePipeline];
-  const size_t n = atoms.size();
-  const size_t lead = std::min(n, kProbePipeline);
-  for (size_t i = 0; i < lead; ++i) {
-    hashes[i] = ViewOf(atoms[i]).hash();
-    PrefetchSlot(hashes[i]);
-  }
-  size_t contained = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (i + kProbePipeline < n) {
-      const size_t h = ViewOf(atoms[i + kProbePipeline]).hash();
-      hashes[(i + kProbePipeline) % kProbePipeline] = h;
-      PrefetchSlot(h);
-    }
-    if (ProbeHashed(ViewOf(atoms[i]), hashes[i % kProbePipeline])
-            .has_value()) {
-      ++contained;
-    }
-  }
-  return contained;
-}
-
 const std::vector<AtomId>& Instance::IdsWith(Predicate p) const {
   auto it = by_predicate_.find(p.id());
   return it == by_predicate_.end() ? EmptyIdVector() : it->second.ids;

@@ -125,10 +125,6 @@ class Instance {
   /// number of atoms actually inserted (duplicates are skipped as in Add).
   size_t AddBatch(const std::vector<Atom>& atoms);
 
-  /// Batched membership: how many of `atoms` are present. Same pipelined
-  /// hash/prefetch schedule as AddBatch, for probe-heavy callers.
-  size_t CountContained(const std::vector<Atom>& atoms) const;
-
   bool Contains(AtomView view) const { return FindId(view).has_value(); }
   bool Contains(const Atom& atom) const { return Contains(ViewOf(atom)); }
 

@@ -22,9 +22,6 @@ class Substitution {
   /// Binds `from` to `to`. Overwrites any previous binding of `from`.
   void Bind(const Term& from, const Term& to) { map_[from] = to; }
 
-  /// Removes the binding of `from`, if any.
-  void Unbind(const Term& from) { map_.erase(from); }
-
   /// Removes every binding.
   void Clear() { map_.clear(); }
 

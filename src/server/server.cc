@@ -230,42 +230,30 @@ void OmqServer::HandleRequest(const std::shared_ptr<Connection>& conn,
   pending->conn = conn;
   pending->request = std::move(request);
 
-  // Over the tenant's concurrency quota the request parks in the
-  // registry; a later completion dispatches it.
-  auto admission =
-      tenants_.AdmitOrQueue(pending->request.tenant, pending);
-  if (admission.queued) return;
-  Dispatch({TenantRegistry::Resumed{std::move(admission.lease), pending}});
+  pending->lease = tenants_.Admit(pending->request.tenant);
+  Dispatch(pending);
 }
 
-void OmqServer::Dispatch(std::vector<TenantRegistry::Resumed> admitted) {
-  while (!admitted.empty()) {
-    auto pending =
-        std::static_pointer_cast<PendingRequest>(admitted.back().payload);
-    pending->lease = std::move(admitted.back().lease);
-    admitted.pop_back();
-    // A tenant whose governor is tripped (e.g. blew its memory quota)
-    // fails fast until its in-flight requests drain and the governor is
-    // replaced. Once Shutdown() has begun nothing new reaches the pool:
-    // its final Wait() must not race a late submission.
-    Status refusal = pending->lease.governor->TripStatus();
-    if (!refusal.ok()) {
-      refusal = Status(refusal.code(), StrCat("tenant governor tripped: ",
-                                              refusal.message()));
-    } else if (stopping_.load(std::memory_order_acquire)) {
-      refusal = Status::Cancelled("server shutting down");
-    } else {
-      pending->submitted = Clock::now();
-      pool_->Submit([this, pending] { Execute(pending); });
-      continue;
-    }
-    SendResponse(pending->conn,
-                 ErrorResponse(pending->request.request_id, refusal));
-    for (auto& next : tenants_.Complete(pending->lease, /*residual_bytes=*/0,
-                                        refusal.code(), EngineStats())) {
-      admitted.push_back(std::move(next));
-    }
+void OmqServer::Dispatch(const std::shared_ptr<PendingRequest>& pending) {
+  // A tenant whose governor is tripped (e.g. blew its memory quota) fails
+  // fast until its in-flight requests drain and the governor is replaced.
+  // Once Shutdown() has begun nothing new reaches the pool: its final
+  // Wait() must not race a late submission.
+  Status refusal = pending->lease.governor->TripStatus();
+  if (!refusal.ok()) {
+    refusal = Status(refusal.code(), StrCat("tenant governor tripped: ",
+                                            refusal.message()));
+  } else if (stopping_.load(std::memory_order_acquire)) {
+    refusal = Status::Cancelled("server shutting down");
+  } else {
+    pending->submitted = Clock::now();
+    pool_->Submit([this, pending] { Execute(pending); });
+    return;
   }
+  SendResponse(pending->conn,
+               ErrorResponse(pending->request.request_id, refusal));
+  tenants_.Complete(pending->lease, /*residual_bytes=*/0, refusal.code(),
+                    EngineStats());
 }
 
 void OmqServer::Execute(const std::shared_ptr<PendingRequest>& pending) {
@@ -360,8 +348,8 @@ void OmqServer::Execute(const std::shared_ptr<PendingRequest>& pending) {
 
   StatusCode code = response.code;
   SendResponse(pending->conn, std::move(response));
-  Dispatch(tenants_.Complete(pending->lease, req_gov.local_charged_bytes(),
-                             code, stats));
+  tenants_.Complete(pending->lease, req_gov.local_charged_bytes(), code,
+                    stats);
 }
 
 void OmqServer::SendResponse(const std::shared_ptr<Connection>& conn,
@@ -407,22 +395,9 @@ void OmqServer::Shutdown() {
   // 1. Stop accepting connections.
   if (listen_fd_.valid()) ShutdownSocket(listen_fd_.get());
   if (accept_thread_.joinable()) accept_thread_.join();
-  // 2. Drain every execution. A completion's resumed requests are
-  //    refused now, so the pool runs dry.
+  // 2. Drain every execution, including requests still waiting in the
+  //    pool's queue.
   if (pool_ != nullptr) pool_->Wait();
-  // 2b. Requests still parked in tenant concurrency queues can no longer
-  //     be dequeued by a completion (the pool is drained): answer them
-  //     kCancelled while their connections are still up. Stragglers that
-  //     race in before the sessions join are swept again below.
-  auto drain_queued = [this] {
-    for (auto& payload : tenants_.DrainQueued()) {
-      auto pending = std::static_pointer_cast<PendingRequest>(payload);
-      SendResponse(pending->conn,
-                   ErrorResponse(pending->request.request_id,
-                                 Status::Cancelled("server shutting down")));
-    }
-  };
-  drain_queued();
   // 3. Unblock session readers and join them.
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -442,7 +417,6 @@ void OmqServer::Shutdown() {
   //    was set may have submitted after step 2: drain again, so no
   //    request runs after the flush.
   if (pool_ != nullptr) pool_->Wait();
-  drain_queued();
   // 5. Every response is out; seal what this run compiled into the
   //    persistent store (no-op for the memory-only cache).
   cache_->Flush();
@@ -490,10 +464,7 @@ std::string OmqServer::StatsJson() const {
     w.Field("cache_hits", snap.counters.cache_hits);
     w.Field("cache_misses", snap.counters.cache_misses);
     w.Field("governor_resets", snap.counters.governor_resets);
-    w.Field("queued_requests", snap.counters.queued_requests);
-    w.Field("queue_peak", snap.counters.queue_peak);
     w.Field("inflight", snap.inflight);
-    w.Field("queued", snap.queued);
     w.Field("charged_bytes", static_cast<uint64_t>(snap.charged_bytes));
     w.Field("tripped", snap.tripped);
     w.EndObject();

@@ -3,16 +3,15 @@
 // Request path (see DESIGN.md "Server pipeline"):
 //
 //   session thread ──► tenant admit ──► worker pool
-//   (read + parse)     (concurrency      (execute,
-//                       quota)            respond)
+//   (read + parse)     (governor         (execute,
+//                       lease)            respond)
 //
 // Each connection gets a session thread that reads frames, answers
 // ping/stats/shutdown inline, parses eval/contain/classify programs, and
-// admits each request to its tenant (tenant.h). An admitted request goes
-// straight to the shared FIFO ThreadPool; one over its tenant's
-// concurrency quota parks in the registry until a completion releases it.
-// Repeated compilations are shared through the OmqCache, not by holding
-// requests back.
+// admits each request to its tenant (tenant.h), which leases it the
+// tenant's governor. An admitted request goes straight to the shared FIFO
+// ThreadPool. Repeated compilations are shared through the OmqCache, not
+// by holding requests back.
 //
 // Resource governance: every request executes under a fresh governor
 // child of its tenant's governor (tenant.h), itself a child of the
@@ -137,13 +136,10 @@ class OmqServer {
   /// eval/contain/classify, answers everything else inline.
   void HandleRequest(const std::shared_ptr<Connection>& conn,
                      WireRequest&& request);
-  /// Submits each admitted request (payload: PendingRequest) to the
-  /// pool. A request whose tenant governor is tripped, or that arrives
-  /// once the server is stopping, is answered inline instead and its
-  /// lease settled; whatever that settlement releases from the tenant's
-  /// concurrency queue joins the worklist, so a cascade of refusals stays
-  /// iterative. Runs on session threads and on pool workers.
-  void Dispatch(std::vector<TenantRegistry::Resumed> admitted);
+  /// Submits one admitted request to the pool. A request whose tenant
+  /// governor is tripped, or that arrives once the server is stopping, is
+  /// answered inline instead and its lease settled.
+  void Dispatch(const std::shared_ptr<PendingRequest>& pending);
   /// Executes one request on a pool worker, sends its response and
   /// settles its lease.
   void Execute(const std::shared_ptr<PendingRequest>& pending);

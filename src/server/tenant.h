@@ -5,7 +5,9 @@
 //   server governor  (server-wide memory budget, shutdown cancellation)
 //     └─ tenant governor   (per-tenant memory quota; one per tenant)
 //          └─ request governor  (per-request deadline / memory budget)
-//               └─ engine children (containment worker cancellation, ...)
+//
+// The request governor is the one the engine runs under; the engine adds
+// no level of its own.
 //
 // Byte charges accumulate at every level (base/governor.h), so a tenant
 // quota bounds that tenant's in-flight bytes only; trips latch on the
@@ -17,24 +19,15 @@
 // governor once the tenant's in-flight requests drain — the tenant is
 // throttled, not bricked. Requests still holding the old governor keep it
 // alive through shared_ptr.
-//
-// Concurrency quota: with TenantQuota::max_concurrent > 0, a tenant's
-// excess requests are *queued* here (FIFO) instead of tripping anything —
-// AdmitOrQueue parks the opaque payload, and each Complete hands freed
-// capacity back as Resumed entries the server dispatches. Queued work is
-// invisible to the pool until then, so one hot tenant cannot monopolize
-// worker slots.
 
 #ifndef OMQC_SERVER_TENANT_H_
 #define OMQC_SERVER_TENANT_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "base/governor.h"
 #include "core/engine_stats.h"
@@ -45,10 +38,6 @@ namespace omqc {
 struct TenantQuota {
   /// Cap on a tenant's in-flight governed bytes (0 = none).
   size_t memory_quota_bytes = 0;
-  /// Cap on a tenant's concurrently executing requests (0 = unlimited).
-  /// Excess requests *queue* (FIFO per tenant) rather than trip: they are
-  /// handed back by Complete() as capacity frees up.
-  uint64_t max_concurrent = 0;
 };
 
 /// Monotone per-tenant tallies, exported by the STATS endpoint.
@@ -62,8 +51,6 @@ struct TenantCounters {
   uint64_t cache_hits = 0;      ///< compilation-cache hits attributed here
   uint64_t cache_misses = 0;    ///< compilation-cache misses attributed here
   uint64_t governor_resets = 0;  ///< tripped tenant governors replaced
-  uint64_t queued_requests = 0;  ///< deferred by the concurrency quota
-  uint64_t queue_peak = 0;       ///< deepest the concurrency queue got
 };
 
 /// A lease on a tenant's governor for one request's lifetime. The shared
@@ -83,47 +70,22 @@ class TenantRegistry {
   TenantRegistry(const TenantRegistry&) = delete;
   TenantRegistry& operator=(const TenantRegistry&) = delete;
 
-  /// Outcome of AdmitOrQueue: either a live lease, or `queued` — the
-  /// payload was parked under the concurrency quota and will come back
-  /// out of a later Complete() (or DrainQueued()) call.
-  struct Admission {
-    TenantLease lease;  ///< empty governor when queued
-    bool queued = false;
-  };
-
-  /// Admits one request for `tenant` (created on first sight), or parks
-  /// `payload` when the tenant is already running `max_concurrent`
-  /// requests. Parked requests count toward `requests`/`queued_requests`
-  /// immediately.
-  Admission AdmitOrQueue(const std::string& tenant,
-                         std::shared_ptr<void> payload);
-
-  /// A request released from the concurrency queue by a completion: its
-  /// freshly issued lease plus the payload given to AdmitOrQueue.
-  struct Resumed {
-    TenantLease lease;
-    std::shared_ptr<void> payload;
-  };
+  /// Admits one request for `tenant` (created on first sight) and leases
+  /// it the tenant's current governor.
+  TenantLease Admit(const std::string& tenant);
 
   /// Completes the request holding `lease`. `residual_bytes` is the
   /// request governor's un-released local charge (returned to the tenant
   /// chain here); `code` is the response status; `stats` the request's
   /// engine counters. Replaces a tripped tenant governor once the tenant
-  /// drains, then returns any queued requests the freed capacity now
-  /// admits (the caller dispatches them outside this registry's lock).
-  std::vector<Resumed> Complete(const TenantLease& lease,
-                                size_t residual_bytes, StatusCode code,
-                                const EngineStats& stats);
-
-  /// Empties every tenant's concurrency queue (shutdown): the payloads
-  /// are returned without leases and tallied as failed/cancelled.
-  std::vector<std::shared_ptr<void>> DrainQueued();
+  /// drains.
+  void Complete(const TenantLease& lease, size_t residual_bytes,
+                StatusCode code, const EngineStats& stats);
 
   /// Point-in-time view for the STATS endpoint.
   struct TenantSnapshot {
     TenantCounters counters;
     uint64_t inflight = 0;
-    uint64_t queued = 0;       ///< current concurrency-queue depth
     size_t charged_bytes = 0;  ///< current tenant-level accounted bytes
     bool tripped = false;      ///< current governor is latched
   };
@@ -133,8 +95,6 @@ class TenantRegistry {
   struct Tenant {
     std::shared_ptr<ResourceGovernor> governor;
     uint64_t inflight = 0;
-    /// Requests parked by the concurrency quota, FIFO.
-    std::deque<std::shared_ptr<void>> waiting;
     TenantCounters counters;
   };
 

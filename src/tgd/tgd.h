@@ -26,8 +26,6 @@ struct Tgd {
   Tgd(std::vector<Atom> b, std::vector<Atom> h)
       : body(std::move(b)), head(std::move(h)) {}
 
-  bool IsFactTgd() const { return body.empty(); }
-
   /// Variables occurring in the body, in order of first occurrence.
   std::vector<Term> BodyVariables() const;
   /// Variables occurring in the head, in order of first occurrence.

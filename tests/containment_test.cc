@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/governor.h"
 #include "base/string_util.h"
 #include "core/containment.h"
 #include "core/frontend.h"
@@ -305,6 +306,83 @@ TEST(ContainmentTest, FirstRefutingDisjunctStopsTheEnumeration) {
   ASSERT_TRUE(again->witness.has_value());
   EXPECT_EQ(PrettifiedCopy(again->witness->database).ToString(),
             PrettifiedCopy(result->witness->database).ToString());
+}
+
+// ---------- Governance: the caller's governor is the only one. ----------
+
+// Guarded and recursive on the left: the rewriting of P(c) is the infinite
+// chain family R(c,y1),...,R(yn-1,yn),P(yn). The right-hand side covers
+// chains of length up to 2, so the first length-3 chain refutes and only
+// the refutation stops the enumeration.
+struct GuardedChainPair {
+  UcqOmq lhs;
+  UcqOmq rhs;
+};
+
+GuardedChainPair MakeGuardedChainPair() {
+  Schema schema = S({{"R", 2}, {"P", 1}});
+  return GuardedChainPair{
+      UcqOmq{schema, ParseTgds("R(X,Y), P(Y) -> P(X).").value(),
+             UnionOfCQs{{ParseQuery("Q() :- P(c)").value()}}},
+      UcqOmq{schema, TgdSet{},
+             UnionOfCQs{{ParseQuery("Q() :- P(c)").value(),
+                         ParseQuery("Q() :- R(c,Y), P(Y)").value(),
+                         ParseQuery("Q() :- R(c,Y), R(Y,Z), P(Z)").value()}}}};
+}
+
+TEST(ContainmentTest, UngovernedRequestMakesNoGovernorChecks) {
+  const char kSigma[] = "Edge(X,Y) -> Conn(X,Y).";
+  Schema schema = S({{"Edge", 2}, {"Conn", 2}});
+  Omq chain = MakeOmq(schema, kSigma, Chain("Conn", 4));
+  auto contained = CheckContainment(chain, chain);
+  ASSERT_TRUE(contained.ok()) << contained.status().ToString();
+  EXPECT_EQ(contained->outcome, ContainmentOutcome::kContained);
+  EXPECT_GT(contained->candidates_checked, 1u);
+  EXPECT_EQ(contained->stats.governor.checks, 0u);
+
+  GuardedChainPair pair = MakeGuardedChainPair();
+  auto refuted = CheckUcqOmqContainment(pair.lhs, pair.rhs);
+  ASSERT_TRUE(refuted.ok()) << refuted.status().ToString();
+  EXPECT_EQ(refuted->outcome, ContainmentOutcome::kNotContained);
+  EXPECT_EQ(refuted->stats.governor.checks, 0u);
+}
+
+TEST(ContainmentTest, RefutationLeavesTheCallersGovernorUntripped) {
+  GuardedChainPair pair = MakeGuardedChainPair();
+  ResourceGovernor governor;
+  ContainmentOptions options;
+  options.governor = &governor;
+  auto governed = CheckUcqOmqContainment(pair.lhs, pair.rhs, options);
+  ASSERT_TRUE(governed.ok()) << governed.status().ToString();
+  EXPECT_EQ(governed->outcome, ContainmentOutcome::kNotContained);
+  EXPECT_TRUE(governed->detail.empty()) << governed->detail;
+  EXPECT_FALSE(governor.tripped());
+  EXPECT_EQ(governor.counters().cancel_trips, 0u);
+  EXPECT_GT(governor.counters().checks, 0u);
+  EXPECT_EQ(governed->stats.governor.checks, governor.counters().checks);
+
+  // The fourth disjunct refutes, and the enumeration admits nothing
+  // after it.
+  EXPECT_EQ(governed->candidates_checked, 4u);
+  const XRewriteStats& rewrite = governed->stats.rewrite;
+  EXPECT_EQ(rewrite.queries_generated, 4u);
+  EXPECT_EQ(rewrite.rewriting_steps, 3u);
+  EXPECT_EQ(rewrite.factorization_steps, 0u);
+  EXPECT_EQ(rewrite.dedup_hits, 0u);
+  EXPECT_EQ(rewrite.subsumption_checks, 3u);
+  EXPECT_EQ(rewrite.subsumption_prunes, 0u);
+  EXPECT_EQ(rewrite.minimize_checks, 3u);
+
+  // Governing a request never changes how far it enumerates.
+  auto ungoverned = CheckUcqOmqContainment(pair.lhs, pair.rhs);
+  ASSERT_TRUE(ungoverned.ok());
+  EXPECT_EQ(ungoverned->candidates_checked, governed->candidates_checked);
+  EXPECT_EQ(ungoverned->stats.rewrite.queries_generated,
+            rewrite.queries_generated);
+  EXPECT_EQ(ungoverned->stats.rewrite.rewriting_steps,
+            rewrite.rewriting_steps);
+  EXPECT_EQ(ungoverned->stats.rewrite.subsumption_checks,
+            rewrite.subsumption_checks);
 }
 
 // ---------- Input validation. ----------

@@ -427,6 +427,49 @@ TEST(ContainmentChaosTest, TripsInsidePruningScansNeverFlipTheVerdict) {
   }
 }
 
+TEST(ContainmentChaosTest, EnumerationTripLandsOnTheRequestGovernor) {
+  // The contained workload under a cancellation swept over every check of
+  // its clean run. A trip while the RHS is prepared fails the request; any
+  // later one, inside the LHS enumeration or an RHS check, trips the
+  // request's own governor and the UNKNOWN detail says so.
+  ContainmentWorkload workload = Workloads()[0];
+  uint64_t clean_checks = 0;
+  {
+    ResourceGovernor governor;
+    ContainmentOptions options;
+    options.governor = &governor;
+    auto clean = CheckUcqOmqContainment(workload.q1, workload.q2, options);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    ASSERT_EQ(clean->outcome, workload.expected);
+    clean_checks = governor.counters().checks;
+  }
+  uint64_t unknowns = 0;
+  for (uint64_t at = 1; at <= clean_checks; ++at) {
+    const std::string context = "cancel at check " + std::to_string(at);
+    FaultPlan plan;
+    plan.cancel_at_check = at;
+    FaultInjector injector(plan);
+    ResourceGovernor governor;
+    governor.set_fault_injector(&injector);
+    ContainmentOptions options;
+    options.governor = &governor;
+    auto result = CheckUcqOmqContainment(workload.q1, workload.q2, options);
+    EXPECT_TRUE(injector.fired()) << context;
+    EXPECT_EQ(governor.TripStatus().code(), StatusCode::kCancelled)
+        << context;
+    if (!result.ok()) {
+      EXPECT_EQ(result.status().code(), StatusCode::kCancelled) << context;
+      continue;
+    }
+    ++unknowns;
+    EXPECT_EQ(result->outcome, ContainmentOutcome::kUnknown) << context;
+    EXPECT_EQ(result->detail.rfind("request governor tripped: ", 0), 0u)
+        << context << ": " << result->detail;
+    EXPECT_EQ(result->stats.governor.cancel_trips, 1u) << context;
+  }
+  EXPECT_GT(unknowns, 0u);
+}
+
 TEST(ContainmentChaosTest, MemoryFaultsNeverFlipTheVerdict) {
   for (const ContainmentWorkload& workload : Workloads()) {
     for (uint64_t at : {uint64_t{1}, uint64_t{2}, uint64_t{5}}) {

@@ -52,7 +52,6 @@ TEST(PredicateTest, InterningRespectsArity) {
 TEST(AtomTest, BasicProperties) {
   Atom fact = Atom::Make("R", {Term::Constant("a"), Term::Constant("b")});
   EXPECT_TRUE(fact.IsFact());
-  EXPECT_TRUE(fact.NullFree());
   EXPECT_EQ(fact.ToString(), "R(a,b)");
 
   Atom open = Atom::Make("R", {Term::Constant("a"), Term::Variable("X")});
@@ -130,8 +129,6 @@ TEST(SubstitutionTest, ApplyAndTransitive) {
   EXPECT_EQ(s.Apply(x), y);
   EXPECT_EQ(s.ApplyTransitively(x), a);
   EXPECT_EQ(s.Apply(a), a);
-  s.Unbind(x);
-  EXPECT_EQ(s.Apply(x), x);
 }
 
 TEST(CQTest, VariableClassification) {
@@ -142,8 +139,6 @@ TEST(CQTest, VariableClassification) {
   EXPECT_TRUE(shared.count(Term::Variable("X")) > 0);  // free
   EXPECT_TRUE(shared.count(Term::Variable("Y")) > 0);  // multiple atoms
   EXPECT_FALSE(shared.count(Term::Variable("Z")) > 0);
-  std::set<Term> multi = q.VariablesInMultipleAtoms();
-  EXPECT_EQ(multi.size(), 1u);  // only Y
 }
 
 TEST(CQTest, SharedCountsRepetitionInsideOneAtom) {

@@ -19,10 +19,10 @@ TEST(ParserTest, ParsesTgd) {
 TEST(ParserTest, ParsesFactTgd) {
   auto tgd = ParseTgd("-> Tile(X)");
   ASSERT_TRUE(tgd.ok());
-  EXPECT_TRUE(tgd->IsFactTgd());
+  EXPECT_TRUE(tgd->body.empty());
   auto tgd2 = ParseTgd("true -> Tile(X)");
   ASSERT_TRUE(tgd2.ok());
-  EXPECT_TRUE(tgd2->IsFactTgd());
+  EXPECT_TRUE(tgd2->body.empty());
 }
 
 TEST(ParserTest, ParsesQueryWithAnswerVariables) {

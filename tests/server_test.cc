@@ -2,7 +2,7 @@
 // protocol round-trips, CLI-identical verdicts across worker pool sizes,
 // per-tenant governor isolation (deadline and memory trips never touch
 // sibling tenants), concurrent cold requests that agree and warm the
-// shared cache, and shutdown: every running or parked request is answered
+// shared cache, and shutdown: every running or pooled request is answered
 // and no governor charge leaks.
 
 #include "server/server.h"
@@ -440,17 +440,18 @@ TEST(ServerTest, ConcurrentColdRequestsAgreeAndWarmTheCache) {
 
 // ---------- Shutdown ----------
 
-TEST(ServerTest, ShutdownAnswersRunningAndParkedRequestsAndLeaksNothing) {
+TEST(ServerTest, ShutdownAnswersRunningAndPooledRequestsAndLeaksNothing) {
+  // One worker: the slow request occupies it, so the second request is
+  // admitted and waits in the pool's queue when the shutdown starts.
   ServerConfig config;
-  config.worker_threads = 2;
-  config.tenant_quota.max_concurrent = 1;
+  config.worker_threads = 1;
   OmqServer server(std::move(config));
   std::string slow_program = SlowProgramText();
   OmqClient slow_client = MakeClient(server);
-  OmqClient parked_client = MakeClient(server);
+  OmqClient pooled_client = MakeClient(server);
 
   Result<WireResponse> slow = Status::Internal("no response");
-  Result<WireResponse> parked = Status::Internal("no response");
+  Result<WireResponse> pooled = Status::Internal("no response");
   std::thread slow_thread(
       [&] { slow = slow_client.Contain(slow_program, "Q", "Q", "hot"); });
   ASSERT_TRUE(WaitFor([&] {
@@ -458,33 +459,36 @@ TEST(ServerTest, ShutdownAnswersRunningAndParkedRequestsAndLeaksNothing) {
     auto it = snaps.find("hot");
     return it != snaps.end() && it->second.inflight == 1;
   }));
-  std::thread parked_thread([&] {
-    parked = parked_client.Eval(kUniversityProgram, "FacultyQ", "hot");
+  std::thread pooled_thread([&] {
+    pooled = pooled_client.Eval(kUniversityProgram, "FacultyQ", "hot");
   });
   ASSERT_TRUE(WaitFor([&] {
     auto snaps = server.TenantSnapshots();
     auto it = snaps.find("hot");
-    return it != snaps.end() && it->second.queued == 1;
+    return it != snaps.end() && it->second.inflight == 2;
   }));
 
-  // Shut down while one request runs and one waits on the tenant quota.
+  // Shut down while one request runs and one waits for the worker.
   server.Shutdown();
   slow_thread.join();
-  parked_thread.join();
+  pooled_thread.join();
 
   ASSERT_TRUE(slow.ok()) << slow.status().ToString();
   EXPECT_EQ(slow->code, StatusCode::kOk) << slow->message;
-  ASSERT_TRUE(parked.ok()) << parked.status().ToString();
-  EXPECT_TRUE(parked->code == StatusCode::kOk ||
-              parked->code == StatusCode::kCancelled)
-      << parked->message;
+  // Admitted just before the shutdown began, the request is either
+  // drained from the pool or refused at submission.
+  ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+  EXPECT_TRUE(pooled->code == StatusCode::kOk ||
+              pooled->code == StatusCode::kCancelled)
+      << pooled->message;
 
   // Every lease is settled and every byte returned to the server root.
   EXPECT_EQ(server.governor()->local_charged_bytes(), 0u);
   auto snapshot = server.TenantSnapshots().at("hot");
   EXPECT_EQ(snapshot.inflight, 0u);
-  EXPECT_EQ(snapshot.queued, 0u);
   EXPECT_EQ(snapshot.charged_bytes, 0u);
+  EXPECT_EQ(snapshot.counters.requests, 2u);
+  EXPECT_EQ(snapshot.counters.completed + snapshot.counters.failed, 2u);
 }
 
 TEST(ServerTest, ShutdownRequestWakesTheDaemonLoop) {
@@ -497,70 +501,6 @@ TEST(ServerTest, ShutdownRequestWakesTheDaemonLoop) {
   EXPECT_EQ(response->code, StatusCode::kOk);
   EXPECT_TRUE(
       server.WaitForShutdownRequest(std::chrono::milliseconds(2000)));
-  server.Shutdown();
-}
-
-// ---------- Tenant concurrency quota ----------
-
-TEST(ServerTest, ConcurrencyQuotaQueuesExcessRequests) {
-  ServerConfig config;
-  config.worker_threads = 4;
-  config.tenant_quota.max_concurrent = 1;
-  OmqServer server(std::move(config));
-
-  std::string slow_program = SlowProgramText();
-  OmqClient slow_client = MakeClient(server);
-  OmqClient fast_client = MakeClient(server);
-  OmqClient cold_client = MakeClient(server);
-
-  std::atomic<bool> fast_done{false};
-  std::thread slow_thread([&] {
-    auto response = slow_client.Contain(slow_program, "Q", "Q", "hot");
-    EXPECT_TRUE(response.ok());
-    if (response.ok()) {
-      EXPECT_EQ(response->code, StatusCode::kOk);
-    }
-  });
-  // The slow request occupies the tenant's only slot...
-  ASSERT_TRUE(WaitFor([&] {
-    auto snaps = server.TenantSnapshots();
-    auto it = snaps.find("hot");
-    return it != snaps.end() && it->second.inflight == 1;
-  }));
-  std::thread fast_thread([&] {
-    auto response = fast_client.Eval(kUniversityProgram, "FacultyQ", "hot");
-    EXPECT_TRUE(response.ok());
-    if (response.ok()) {
-      EXPECT_EQ(response->code, StatusCode::kOk);
-    }
-    fast_done = true;
-  });
-  // ...so the fast same-tenant request parks in the concurrency queue
-  // instead of reaching the pool...
-  ASSERT_TRUE(WaitFor([&] {
-    auto snaps = server.TenantSnapshots();
-    auto it = snaps.find("hot");
-    return it != snaps.end() && it->second.queued == 1;
-  }));
-  EXPECT_FALSE(fast_done.load());
-  // ...while a sibling tenant sails through untouched.
-  auto cold = cold_client.Eval(kUniversityProgram, "FacultyQ", "cold");
-  ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(cold->code, StatusCode::kOk);
-  EXPECT_FALSE(fast_done.load());
-
-  slow_thread.join();
-  fast_thread.join();
-  ASSERT_TRUE(WaitFor([&] {
-    auto snaps = server.TenantSnapshots();
-    auto it = snaps.find("hot");
-    return it != snaps.end() && it->second.counters.completed == 2;
-  }));
-  auto snaps = server.TenantSnapshots();
-  EXPECT_EQ(snaps.at("hot").counters.queued_requests, 1u);
-  EXPECT_EQ(snaps.at("hot").counters.queue_peak, 1u);
-  EXPECT_EQ(snaps.at("hot").queued, 0u);
-  EXPECT_EQ(snaps.at("cold").counters.queued_requests, 0u);
   server.Shutdown();
 }
 
@@ -681,7 +621,6 @@ TEST(ServerTest, StatsEndpointServesTheMetricsDocument) {
   EXPECT_NE(stats->body.find("\"cache\""), std::string::npos);
   EXPECT_NE(stats->body.find("\"tenants\""), std::string::npos);
   EXPECT_NE(stats->body.find("\"acme\""), std::string::npos);
-  EXPECT_NE(stats->body.find("\"queue_peak\""), std::string::npos);
   server.Shutdown();
 }
 

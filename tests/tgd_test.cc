@@ -23,7 +23,7 @@ TEST(TgdTest, VariableClassification) {
 
 TEST(TgdTest, FactTgd) {
   Tgd tgd = T("-> Tile(X)");
-  EXPECT_TRUE(tgd.IsFactTgd());
+  EXPECT_TRUE(tgd.body.empty());
   EXPECT_TRUE(tgd.BodyVariables().empty());
   EXPECT_EQ(tgd.ExistentialVariables().size(), 1u);
 }
